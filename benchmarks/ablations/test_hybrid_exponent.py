@@ -10,7 +10,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.core.policies import HybridPolicy
-from repro.core.scheduler import BatchScheduler, PairOracle
+from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.experiments.context import QUICK_SPEC_SUBSET, get_campaign
 
 EXPONENTS = (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -34,7 +34,7 @@ def schedule_value(scheduler, oracle, pairs, recovery_cost):
 def test_ablation_hybrid_exponent(benchmark, quick):
     def experiment():
         campaign = get_campaign("Proc3", n_cycles=25_000)
-        oracle = PairOracle(campaign)
+        oracle = GroupOracle(campaign)
         scheduler = BatchScheduler(oracle, programs=QUICK_SPEC_SUBSET)
         results = {}
         for cost in (FINE_COST, COARSE_COST):

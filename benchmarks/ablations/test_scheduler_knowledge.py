@@ -10,7 +10,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.core.policies import DroopPolicy, RandomPolicy, StallRatioPolicy
-from repro.core.scheduler import BatchScheduler, PairOracle
+from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.experiments.context import QUICK_SPEC_SUBSET, get_campaign
 
 N_PAIRS = 20
@@ -19,7 +19,7 @@ N_PAIRS = 20
 def test_ablation_scheduler_knowledge(benchmark, quick):
     def experiment():
         campaign = get_campaign("Proc3", n_cycles=25_000)
-        oracle = PairOracle(campaign)
+        oracle = GroupOracle(campaign)
         scheduler = BatchScheduler(oracle, programs=QUICK_SPEC_SUBSET)
         droops = {}
         droops["oracle"] = scheduler.run_policy(

@@ -175,10 +175,10 @@ def _unit_undervolt_sweep() -> None:
 
 
 def _unit_simlint_flow() -> None:
-    """A cold-cache ``--flow`` lint of src/repro (all four flow passes).
+    """A cold-cache ``--flow`` lint of src/repro (all three flow passes).
 
     The flow engine's cost is dominated by the dimension/concurrency/
-    taint/cost fixpoints over the whole project, so this unit catches
+    taint fixpoints over the whole project, so this unit catches
     superlinear regressions in any of them.  No lint cache is passed:
     every timing is a full cold analysis.
     """
@@ -186,24 +186,6 @@ def _unit_simlint_flow() -> None:
     from repro.analysis.flow.engine import flow_paths
 
     flow_paths([str(Path(repro.__file__).parent)])
-
-
-def _unit_simlint_hotspots() -> None:
-    """The ``simlint hotspots`` analyzer half over src/repro.
-
-    Times the interprocedural cost fixpoint, the hot-closure BFS and
-    the finding/stage join on their own — the analyzer runtime the
-    PERF family adds beyond the other flow passes.
-    """
-    import repro
-    from repro.analysis.engine import iter_python_files
-    from repro.analysis.hotspots import hotspots_report
-
-    sources = {}
-    for filename in iter_python_files([str(Path(repro.__file__).parent)]):
-        with open(filename, "r", encoding="utf-8") as handle:
-            sources[filename] = handle.read()
-    hotspots_report(sources)
 
 
 #: The pinned gate subset.  Add units sparingly: each must be slow
@@ -216,7 +198,6 @@ UNITS: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("policy_arena", _unit_policy_arena),
     ("undervolt_sweep", _unit_undervolt_sweep),
     ("simlint_flow", _unit_simlint_flow),
-    ("simlint_hotspots", _unit_simlint_hotspots),
 )
 
 #: Absolute speed-up pins: ``name -> (reference_score, min_speedup)``.

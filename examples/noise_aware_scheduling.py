@@ -13,10 +13,10 @@ Run:  python examples/noise_aware_scheduling.py
 from repro import (
     BatchScheduler,
     DroopPolicy,
+    GroupOracle,
     HybridPolicy,
     IPCPolicy,
     MeasurementCampaign,
-    PairOracle,
 )
 from repro.core.policies import RandomPolicy
 
@@ -29,7 +29,7 @@ N_PAIRS = 20
 
 def main() -> None:
     campaign = MeasurementCampaign("Proc3", n_cycles=30_000, seed=0)
-    oracle = PairOracle(campaign)
+    oracle = GroupOracle(campaign)
     scheduler = BatchScheduler(oracle, programs=POOL)
 
     baseline = scheduler.evaluate(

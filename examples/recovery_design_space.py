@@ -88,9 +88,9 @@ def main() -> None:
 
     # --- software assist 2: what scheduling buys the coarse schemes ----
     print("== Coarse recovery + droop-aware scheduling ==")
-    from repro.core import BatchScheduler, DroopPolicy, PairOracle
+    from repro.core import BatchScheduler, DroopPolicy, GroupOracle
 
-    oracle = PairOracle(campaign)
+    oracle = GroupOracle(campaign)
     scheduler = BatchScheduler(oracle, programs=SUBSET)
     baseline = scheduler.evaluate(scheduler.specrate_schedule(), "SPECrate")
     droop_eval = scheduler.run_policy(DroopPolicy(), n_pairs=16, seed=5)

@@ -62,9 +62,9 @@ from repro.measurement import MeasurementCampaign
 from repro.core import (
     BatchScheduler,
     DroopPolicy,
+    GroupOracle,
     HybridPolicy,
     IPCPolicy,
-    PairOracle,
     ResilientDesignModel,
     performance_improvement,
 )
@@ -101,9 +101,9 @@ __all__ = [
     "MeasurementCampaign",
     "BatchScheduler",
     "DroopPolicy",
+    "GroupOracle",
     "HybridPolicy",
     "IPCPolicy",
-    "PairOracle",
     "ResilientDesignModel",
     "performance_improvement",
     "__version__",

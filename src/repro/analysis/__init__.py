@@ -12,11 +12,8 @@ package enforces those conventions mechanically:
   determinism, ``UNI*`` unit-safety, ``HYG*`` hygiene);
 * :mod:`repro.analysis.flow` — the project-wide dataflow engine
   (``DIM*`` interprocedural dimensional analysis, ``CON*``
-  concurrency-safety, ``TNT*`` determinism taint, and ``PERF*``
-  performance smells from the interprocedural loop-cost model), run
-  under ``--flow``;
-* :mod:`repro.analysis.hotspots` — the ``simlint hotspots`` join of
-  PERF findings against a measured stage profile;
+  concurrency-safety, and ``TNT*`` determinism taint), run under
+  ``--flow``;
 * :mod:`repro.analysis.baseline` — committed grandfather lists, one
   justification string per entry;
 * :mod:`repro.analysis.reporters` — text, JSON, and SARIF output;

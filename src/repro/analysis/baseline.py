@@ -8,14 +8,11 @@ line itself changes.  Expired entries are dead weight; ``repro-lint
 --prune-baseline`` rewrites the file without them.
 
 Every entry may carry a ``justification`` string saying *why* the
-finding is accepted rather than fixed; ``repro-lint
---require-justification`` turns a missing one into a failure, which is
-how CI keeps the PERF baseline honest.  The shipped
-``simlint-baseline.json`` grandfathers the ``OBS001`` wall-clock
+finding is accepted rather than fixed.  The shipped
+``simlint-baseline.json`` grandfathers only the ``OBS001`` wall-clock
 comparison in ``examples/parallel_sweep.py`` (the speedup measurement
-is the point of that example) plus the justified PERF worklist —
-ROADMAP item 2's vectorization targets — and the test suite pins it to
-exactly that.
+is the point of that example), and the test suite pins it to exactly
+that, justifications included.
 """
 
 from __future__ import annotations
@@ -85,13 +82,6 @@ class Baseline:
             key = (item["path"], item["code"], item["fingerprint"])
             (kept if key in live else removed).append(item)
         return kept, removed
-
-    def unjustified(self) -> List[Dict[str, Any]]:
-        """Entries with no (or a blank) ``justification`` string."""
-        return [
-            item for item in self.items
-            if not str(item.get("justification", "")).strip()
-        ]
 
 
 def load(path: str) -> Baseline:

@@ -9,14 +9,10 @@ Usage::
     python -m repro.analysis src/repro --format sarif > simlint.sarif
     python -m repro.analysis src/repro --write-baseline
     python -m repro.analysis effects src/repro --json
-    python -m repro.analysis hotspots src/repro --profile stages.json
     repro-lint --list-rules
 
 ``effects`` is a subcommand: it dumps the interprocedural effect-summary
 table (see :mod:`repro.analysis.flow.effects`) instead of linting.
-``hotspots`` is another: it ranks PERF findings by the measured share of
-their stage in a ``--profile-stages`` JSON export (see
-:mod:`repro.analysis.hotspots`).
 
 Exit status: ``0`` when no unsuppressed, unbaselined findings remain (or
 only warnings remain without ``--strict-warnings``); ``1`` when errors
@@ -147,14 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--require-justification",
-        action="store_true",
-        help=(
-            "fail (exit 1) when any baseline entry in use lacks a "
-            "non-empty 'justification' string"
-        ),
-    )
-    parser.add_argument(
         "--select",
         metavar="CODES",
         default=None,
@@ -270,81 +258,10 @@ def _effects_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def _build_hotspots_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint hotspots",
-        description=(
-            "rank PERF performance findings by the measured share of the "
-            "observability stage their hot entry point runs under; the "
-            "output contains only rerun-stable data (share buckets and "
-            "span counts, never wall seconds) and is byte-identical "
-            "across reruns and --jobs settings"
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="FILE",
-        default=None,
-        help=(
-            "stage-profile JSON written by `repro ... --profile-stages "
-            "FILE`; without it every group ranks as unmeasured"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON (default: a text listing)",
-    )
-    parser.add_argument(
-        "--exclude",
-        metavar="GLOB",
-        action="append",
-        default=[],
-        help="fnmatch pattern (against the full path) to skip; repeatable",
-    )
-    return parser
-
-
-def _hotspots_main(argv: Sequence[str]) -> int:
-    from repro.analysis.hotspots import (
-        format_hotspots,
-        hotspots_from_paths,
-    )
-
-    parser = _build_hotspots_parser()
-    args = parser.parse_args(argv)
-    paths = list(args.paths) or ["src/repro"]
-    missing = [path for path in paths if not os.path.exists(path)]
-    if missing:
-        parser.error(f"path(s) do not exist: {', '.join(missing)}")
-
-    sources: Dict[str, str] = {}
-    for filename in iter_python_files(paths, exclude=args.exclude):
-        with open(filename, "r", encoding="utf-8") as handle:
-            sources[filename] = handle.read()
-    try:
-        report = hotspots_from_paths(sources, args.profile)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_hotspots(report))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = list(argv) if argv is not None else sys.argv[1:]
     if arguments and arguments[0] == "effects":
         return _effects_main(arguments[1:])
-    if arguments and arguments[0] == "hotspots":
-        return _hotspots_main(arguments[1:])
     parser = _build_parser()
     args = parser.parse_args(arguments)
 
@@ -458,21 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"(+{skipped} baselined finding(s) suppressed via {source})",
             file=sys.stderr,
         )
-    if args.require_justification and source is not None:
-        missing = base.unjustified()
-        if missing:
-            for item in missing:
-                print(
-                    f"{item['path']}:{item['line']}: {item['code']} "
-                    "baselined without a justification",
-                    file=sys.stderr,
-                )
-            print(
-                f"({len(missing)} baseline entry(ies) in {source} lack a "
-                "justification string)",
-                file=sys.stderr,
-            )
-            return 1
     if any(f.severity is Severity.ERROR for f in surviving):
         return 1
     if surviving and args.strict_warnings:

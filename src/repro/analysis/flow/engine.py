@@ -10,8 +10,7 @@ Pass ordering matters: the dimension pass runs first because its
 abstract interpretation fills in the class attribute-type tables
 (``self.chip = Chip(...)``) that the other passes' shared call-graph
 resolution reuses; the concurrency and taint passes then audit the
-worker-reachable closure that resolution produces, and the loop-cost
-pass classifies the hot-entry closure last using the same tables.
+worker-reachable closure that resolution produces.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.analysis.flow.cache import (
     source_digest,
 )
 from repro.analysis.flow.concurrency import run_concurrency_pass
-from repro.analysis.flow.cost import run_cost_pass
 from repro.analysis.flow.inference import run_dimension_pass
 from repro.analysis.flow.symbols import Project
 from repro.analysis.flow.taint import run_taint_pass
@@ -36,7 +34,7 @@ from repro.analysis.registry import Rule, all_rules
 
 
 def flow_rules() -> List[Rule]:
-    """Every registered flow rule (``DIM*``/``CON*``/``TNT*``/``PERF*``)."""
+    """Every registered flow rule (``DIM*``/``CON*``/``TNT*``)."""
     return [rule for rule in all_rules() if rule.flow]
 
 
@@ -55,7 +53,6 @@ def flow_sources(
     findings = run_dimension_pass(project)
     findings.extend(run_concurrency_pass(project))
     findings.extend(run_taint_pass(project))
-    findings.extend(run_cost_pass(project))
     findings = [f for f in findings if f.code in active]
 
     surviving = []

@@ -1,10 +1,9 @@
-"""Rule metadata for the dataflow families (``DIM``, ``CON``, ``TNT``, ``PERF``).
+"""Rule metadata for the dataflow families (``DIM``, ``CON``, ``TNT``).
 
 These rules do not hook the single-file visitor: they are *emitted* by
 the flow passes (:mod:`repro.analysis.flow.inference`,
-:mod:`repro.analysis.flow.concurrency`,
-:mod:`repro.analysis.flow.taint`, and
-:mod:`repro.analysis.flow.cost`).  Registering them in the shared
+:mod:`repro.analysis.flow.concurrency`, and
+:mod:`repro.analysis.flow.taint`).  Registering them in the shared
 registry keeps ``--list-rules``, ``--select``, severity handling, and the
 docs generator uniform across line rules and flow rules; the
 :attr:`~repro.analysis.registry.Rule.flow` marker tells the CLI they only
@@ -193,76 +192,4 @@ class EnvReachesCacheKeyRule(FlowRule):
         "cache key; identical runs on different hosts would miss each "
         "other's cache entries (or worse, a host detail leaks into "
         "result identity)"
-    )
-
-
-@register
-class PerCycleLoopRule(FlowRule):
-    """PERF001: Python-level loop over a per-cycle iterable in hot code."""
-
-    code = "PERF001"
-    name = "per-cycle-python-loop"
-    severity = Severity.WARNING
-    description = (
-        "a Python-level for loop over a trace-length iterable (events, "
-        "cycles, samples) inside the hot closure (run.simulate / "
-        "pdn.simulate / chip.run); the interpreter runs once per "
-        "simulated cycle — vectorize the whole trace with numpy"
-    )
-
-
-@register
-class StackableAppendRule(FlowRule):
-    """PERF002: scalar append-accumulation that is numpy-stackable."""
-
-    code = "PERF002"
-    name = "stackable-append-accumulation"
-    severity = Severity.WARNING
-    description = (
-        "a hot-closure loop appends computed rows onto a Python list "
-        "one iteration at a time; the batch is numpy-stackable — build "
-        "it with one vectorized expression or np.stack the results"
-    )
-
-
-@register
-class UnbatchedFilterRule(FlowRule):
-    """PERF003: repeated unbatched sosfilt/filter calls inside a loop."""
-
-    code = "PERF003"
-    name = "unbatched-filter-in-loop"
-    severity = Severity.WARNING
-    description = (
-        "a loop in the hot closure invokes scipy.signal.sosfilt/lfilter "
-        "(directly or through a callee, per the interprocedural cost "
-        "model) once per iteration; stack the traces and filter the "
-        "batch in a single call"
-    )
-
-
-@register
-class HotLoopAllocationRule(FlowRule):
-    """PERF004: allocation inside a per-cycle hot loop."""
-
-    code = "PERF004"
-    name = "hot-loop-allocation"
-    severity = Severity.WARNING
-    description = (
-        "a list/dict/set literal, copy.deepcopy, or numpy array "
-        "construction/copy executed inside a per-cycle loop in the hot "
-        "closure; allocate once outside the loop and reuse the buffer"
-    )
-
-
-@register
-class QuadraticMembershipRule(FlowRule):
-    """PERF005: O(n²) membership test on a list in a loop."""
-
-    code = "PERF005"
-    name = "quadratic-list-membership"
-    severity = Severity.WARNING
-    description = (
-        "`x in some_list` inside a hot-closure loop scans the list on "
-        "every iteration — O(n²) overall; use a set for membership "
-        "tests"
     )

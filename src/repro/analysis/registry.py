@@ -69,12 +69,11 @@ FAMILY_VERSIONS: Dict[str, int] = {
     "DIM": 2,
     "CON": 2,
     "TNT": 1,
-    "PERF": 1,
 }
 
 
 def family_of(code: str) -> str:
-    """The family prefix of a rule code (``"PERF001"`` -> ``"PERF"``)."""
+    """The family prefix of a rule code (``"TNT001"`` -> ``"TNT"``)."""
     return code.rstrip("0123456789")
 
 

@@ -8,8 +8,8 @@ Families:
   SI base units built from :mod:`repro.units` constants, never raw
   scale-prefix literals.
 * :mod:`repro.analysis.rules.hygiene` — ``HYG0xx``: simulation-code
-  hygiene (float equality, mutable defaults, overbroad excepts, frozen
-  config dataclasses, ``__future__`` annotations).
+  hygiene (float equality, overbroad excepts, frozen config
+  dataclasses, ``__future__`` annotations).
 * :mod:`repro.analysis.rules.observability` — ``OBS0xx``: telemetry
   discipline (all monotonic-clock timing goes through
   :mod:`repro.observability`).

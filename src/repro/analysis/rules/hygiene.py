@@ -1,12 +1,11 @@
 """Simulation-hygiene rules (``HYG0xx``).
 
 These are the classic numerical/simulation foot-guns: float equality
-(droop thresholds live within 1e-12 of each other), mutable default
-arguments (shared state across nominally independent runs), bare or
-overbroad ``except`` (swallows the typed :mod:`repro.errors` hierarchy),
-mutable config dataclasses (a frozen config is a reproducibility
-contract), and missing ``from __future__ import annotations`` (the
-repo-wide typing convention).
+(droop thresholds live within 1e-12 of each other), bare or overbroad
+``except`` (swallows the typed :mod:`repro.errors` hierarchy), mutable
+config dataclasses (a frozen config is a reproducibility contract), and
+missing ``from __future__ import annotations`` (the repo-wide typing
+convention).  Mutable default arguments are left to ruff's ``B006``.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from repro.analysis.registry import Rule, register
 _CONFIG_NAME_RE = re.compile(
     r"(Config|Configuration|Parameters|Settings|Options)$"
 )
-
-_MUTABLE_FACTORIES = {"list", "dict", "set"}
 
 
 @register
@@ -53,34 +50,6 @@ class FloatEqualityRule(Rule):
                     "or an ordered guard (<=, >=)",
                 )
                 return
-
-
-@register
-class MutableDefaultRule(Rule):
-    """HYG002: mutable default argument."""
-
-    code = "HYG002"
-    name = "mutable-default"
-    severity = Severity.ERROR
-    description = (
-        "list/dict/set defaults are shared across calls; default to None "
-        "(or use dataclasses.field(default_factory=...))"
-    )
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if _is_mutable_literal(default):
-                yield ctx.finding(
-                    self,
-                    default,
-                    f"mutable default argument in {node.name}(); "
-                    "use None and construct inside the function",
-                )
 
 
 @register
@@ -194,14 +163,6 @@ def _is_float_literal(node: ast.AST) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
-
-
-def _is_mutable_literal(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in _MUTABLE_FACTORIES and not node.args
-    return False
 
 
 def _broad_exception_name(node: Optional[ast.AST]) -> Optional[str]:

@@ -166,7 +166,7 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "print the per-stage timing table and hottest runs on exit; "
             "with FILE, also write the schema-versioned stage profile as "
-            "JSON (the input to `repro-lint hotspots`)"
+            "JSON"
         ),
     )
 

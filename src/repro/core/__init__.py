@@ -50,7 +50,6 @@ from repro.core.scheduler import (
     BatchScheduler,
     Group,
     GroupOracle,
-    PairOracle,
     ScheduleEvaluation,
 )
 
@@ -80,6 +79,5 @@ __all__ = [
     "BatchScheduler",
     "Group",
     "GroupOracle",
-    "PairOracle",
     "ScheduleEvaluation",
 ]

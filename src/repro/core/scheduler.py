@@ -10,10 +10,9 @@ grow (Tab. I, Fig. 19).
 The machinery is N-core: :class:`GroupOracle` measures any co-running
 group the campaign's chip can host, and :class:`BatchScheduler` places
 groups of ``group_size`` programs.  The paper's dual-core limit study is
-the ``group_size=2`` special case (:class:`PairOracle` is the pair-shaped
-alias), and its behavior — the exact random streams, candidate orders and
-scores — is bit-identical to the historical pair-only implementation
-(pinned by ``tests/arena/test_pair_equivalence.py``).
+the ``group_size=2`` special case, and its behavior — the exact random
+streams, candidate orders and scores — is bit-identical to the historical
+pair-only implementation (pinned by ``tests/arena/test_pair_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -146,10 +145,6 @@ class GroupOracle:
         return self._campaign.measure(name, kind="single").throughput_ipc
 
 
-class PairOracle(GroupOracle):
-    """The paper's dual-core oracle: :class:`GroupOracle` on pairs."""
-
-
 @dataclass(frozen=True)
 class ScheduleEvaluation:
     """Aggregate droop/performance of one batch schedule."""
@@ -158,11 +153,6 @@ class ScheduleEvaluation:
     groups: Tuple[Group, ...]
     mean_droops: float
     mean_ipc: float
-
-    @property
-    def pairs(self) -> Tuple[Group, ...]:
-        """Historical alias from the pair-only scheduler."""
-        return self.groups
 
     def normalized_to(self, baseline: "ScheduleEvaluation") -> Tuple[float, float]:
         """(droop ratio, performance ratio) relative to a baseline.

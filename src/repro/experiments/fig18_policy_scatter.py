@@ -17,7 +17,7 @@ from repro.core.policies import (
     IPCPolicy,
     RandomPolicy,
 )
-from repro.core.scheduler import BatchScheduler, PairOracle
+from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.experiments.common import ExperimentResult
 from repro.experiments.context import get_campaign, spec_names, window_cycles
 
@@ -28,7 +28,7 @@ N_RANDOM_SCHEDULES_QUICK = 15
 def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
     campaign = get_campaign(config, n_cycles=window_cycles(quick))
     names = spec_names(quick)
-    oracle = PairOracle(campaign)
+    oracle = GroupOracle(campaign)
     oracle.prefetch(names)  # one parallel fan-out; scoring hits the memo
     scheduler = BatchScheduler(oracle, programs=names)
     n_pairs = 20 if quick else 50

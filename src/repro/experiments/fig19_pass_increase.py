@@ -19,7 +19,7 @@ from repro.core.resilience import (
     ResilientDesignModel,
     performance_improvement,
 )
-from repro.core.scheduler import BatchScheduler, PairOracle
+from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.experiments.common import ExperimentResult
 from repro.experiments.context import (
     get_campaign,
@@ -36,7 +36,7 @@ def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
     all_runs = campaign.all_runs(names, parsec_names(quick))
     model = ResilientDesignModel([r.tail_model() for r in all_runs])
 
-    oracle = PairOracle(campaign)
+    oracle = GroupOracle(campaign)
     scheduler = BatchScheduler(oracle, programs=names)
     policies = {"Droop": DroopPolicy(), "IPC": IPCPolicy()}
     partner_maps = {

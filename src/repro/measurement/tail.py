@@ -56,11 +56,7 @@ class DroopTailModel:
     def _fit(self) -> tuple[float, float]:
         depths = self._stats.depths
         if depths.size < MIN_FIT_EVENTS:
-            # Too few excursions to characterize a tail: treat the deepest
-            # observation as an upper bound with a steep synthetic tail.
-            fallback_beta = 0.002
-            amplitude = depths.size / self._stats.n_cycles if depths.size else 1e-12
-            return amplitude, fallback_beta
+            return self._few_events_fit()
         # Fit on the upper half of observed depths (the tail region) by the
         # maximum-likelihood estimator for a shifted exponential.
         pivot = float(np.quantile(depths, 0.5))
@@ -68,11 +64,23 @@ class DroopTailModel:
         if tail.size < MIN_FIT_EVENTS:
             pivot = float(np.quantile(depths, 0.25))
             tail = depths[depths > pivot]
+        if tail.size == 0:
+            # Every depth ties at or below the lower quartile (one value
+            # repeated): there is no tail to fit.
+            return self._few_events_fit()
         beta = float(np.mean(tail - pivot))
         beta = max(beta, 1e-5)
         rate_at_pivot = tail.size / self._stats.n_cycles
         amplitude = rate_at_pivot * np.exp(pivot / beta)
         return amplitude, beta
+
+    def _few_events_fit(self) -> tuple[float, float]:
+        """Too few excursions to characterize a tail: treat the deepest
+        observation as an upper bound with a steep synthetic tail."""
+        count = self._stats.depths.size
+        fallback_beta = 0.002
+        amplitude = count / self._stats.n_cycles if count else 1e-12
+        return amplitude, fallback_beta
 
     def rate(self, margin: float) -> float:
         """Emergency rate (events per cycle) at an operating margin.

@@ -9,7 +9,6 @@ the trace itself and stay bit-stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
@@ -19,43 +18,6 @@ from repro.units import MILLI
 #: Format marker for the machine-readable stage-profile export.
 PROFILE_SCHEMA = "repro-stage-profile"
 PROFILE_SCHEMA_VERSION = 1
-
-#: Every span name the runtime can emit, by exact name.  Consumers that
-#: join a *measured* profile against static analysis (``simlint
-#: hotspots``) validate against this catalog so a profile written by a
-#: different build fails with a clear message instead of a silent
-#: mis-join.  Keep in sync with the ``obs.span(...)`` call sites.
-SPAN_CATALOG = frozenset({
-    "arena.run",
-    "campaign.batch",
-    "campaign.build",
-    "chip.run",
-    "oracle.prefetch",
-    "pdn.simulate",
-    "pool.rebuild",
-    "recovery.evaluate",
-    "run.fallback",
-    "run.retry",
-    "run.simulate",
-    "scheduler.evaluate",
-    "scheduler.interval",
-    "undervolt.probe",
-    "undervolt.sweep",
-})
-
-#: Dynamic span families: names formed from runtime values (one span
-#: per experiment alias) share a fixed prefix.
-SPAN_NAME_PREFIXES = ("experiment.",)
-
-
-def is_known_stage(name: str) -> bool:
-    """Is ``name`` a span the current build can emit?"""
-    return name in SPAN_CATALOG or name.startswith(SPAN_NAME_PREFIXES)
-
-
-def unknown_stages(rows: List["StageRow"]) -> List[str]:
-    """Profile stage names absent from the current span catalog."""
-    return sorted({row.name for row in rows if not is_known_stage(row.name)})
 
 
 @dataclass(frozen=True)
@@ -108,10 +70,9 @@ def stage_table(tracer: Tracer) -> List[StageRow]:
 def stage_profile_payload(tracer: Tracer) -> Dict[str, Any]:
     """JSON-ready, schema-versioned dump of :func:`stage_table`.
 
-    This is what ``--profile-stages FILE`` writes and what
-    ``simlint hotspots`` reads back: span names and counts are
-    deterministic (jobs-invariant) structure; the ``*_seconds`` fields
-    are measured wall time and vary run to run.
+    This is what ``--profile-stages FILE`` writes: span names and
+    counts are deterministic (jobs-invariant) structure; the
+    ``*_seconds`` fields are measured wall time and vary run to run.
     """
     return {
         "schema": PROFILE_SCHEMA,
@@ -127,42 +88,6 @@ def stage_profile_payload(tracer: Tracer) -> Dict[str, Any]:
             for row in stage_table(tracer)
         ],
     }
-
-
-def parse_stage_profile(payload: Dict[str, Any]) -> List[StageRow]:
-    """Rows back out of a :func:`stage_profile_payload` dict.
-
-    Raises ``ValueError`` on a foreign or future-versioned payload so a
-    stale file fails loudly instead of producing an empty report.
-    """
-    if not isinstance(payload, dict) or payload.get("schema") != \
-            PROFILE_SCHEMA:
-        raise ValueError("not a repro stage-profile payload")
-    version = payload.get("version")
-    if version != PROFILE_SCHEMA_VERSION:
-        raise ValueError(
-            f"stage-profile version {version!r}; this reader expects "
-            f"{PROFILE_SCHEMA_VERSION}"
-        )
-    try:
-        return [
-            StageRow(
-                name=str(stage["name"]),
-                count=int(stage["count"]),
-                total_seconds=float(stage["total_seconds"]),
-                mean_seconds=float(stage["mean_seconds"]),
-                max_seconds=float(stage["max_seconds"]),
-            )
-            for stage in payload["stages"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed stage entry: {exc}") from None
-
-
-def load_stage_profile(path: str) -> List[StageRow]:
-    """Read and validate a stage-profile JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_stage_profile(json.load(handle))
 
 
 def _span_label(record: SpanRecord) -> str:

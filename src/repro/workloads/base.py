@@ -173,7 +173,7 @@ class _WindowDraw:
     Splitting window synthesis into a *draw* phase (pure RNG, no
     filtering) and an *assemble* phase lets a batch of windows share a
     single ``lfilter`` call for their OU series, and keeps every
-    filter call out of the per-window loops the PERF lint audits.
+    filter call out of the per-window loops.
     """
 
     __slots__ = ("drive", "memory_bound", "trace", "label")

@@ -31,14 +31,6 @@ def int_eq(count: int) -> bool:
     return count == 0  # ok: integer literal
 
 
-def mutable_default(samples=[]):  # expect: HYG002
-    return samples
-
-
-def factory_default(samples=None):  # ok
-    return samples or []
-
-
 def swallow_everything() -> float:
     try:
         return 1.0 / 0.0

@@ -123,22 +123,6 @@ def test_prune_keeps_justifications(tmp_path):
     assert by_print[findings[0].fingerprint]["justification"] == reason
 
 
-def test_unjustified_reports_blank_and_missing(tmp_path):
-    findings = fixture_findings()
-    target = tmp_path / "baseline.json"
-    save(
-        str(target),
-        findings,
-        justifications={findings[0].fingerprint: "a real reason"},
-    )
-    baseline = load(str(target))
-    missing = baseline.unjustified()
-    assert len(missing) == len(findings) - 1
-    assert all(
-        item["fingerprint"] != findings[0].fingerprint for item in missing
-    )
-
-
 def test_bad_baseline_rejected(tmp_path):
     target = tmp_path / "bad.json"
     target.write_text('{"not": "a baseline"}')
@@ -150,11 +134,10 @@ def test_bad_baseline_rejected(tmp_path):
 
 
 def test_shipped_baseline_grandfathers_only_known_debt():
-    """The shipped baseline carries exactly two kinds of entries: the
-    wall-clock comparison in examples/parallel_sweep.py (OBS001), which
-    measures the speedup the example exists to demonstrate, and the PERF
-    vectorization worklist over src/repro (ROADMAP item 2).  Everything
-    else gets fixed, not baselined — and every entry says why it stays."""
+    """The shipped baseline carries only the wall-clock comparison in
+    examples/parallel_sweep.py (OBS001), which measures the speedup the
+    example exists to demonstrate.  Everything else gets fixed, not
+    baselined — and every entry says why it stays."""
     from pathlib import Path
 
     repo_root = Path(__file__).resolve().parents[2]
@@ -163,11 +146,8 @@ def test_shipped_baseline_grandfathers_only_known_debt():
     )
     assert payload["findings"], "expected grandfathered entries"
     for item in payload["findings"]:
-        if item["code"] == "OBS001":
-            assert item["path"] == "examples/parallel_sweep.py"
-        else:
-            assert item["code"].startswith("PERF")
-            assert item["path"].startswith("src/repro/")
+        assert item["code"] == "OBS001"
+        assert item["path"] == "examples/parallel_sweep.py"
         assert str(item.get("justification", "")).strip(), (
             f"{item['path']}:{item['line']} {item['code']} lacks a "
             "justification"
@@ -196,5 +176,3 @@ def test_shipped_baseline_is_current(monkeypatch):
         if item["code"] == "OBS001"
     }
     assert live == baselined
-    # The PERF half of the baseline is held current by
-    # tests/analysis/test_self_check.py, which runs the flow engine.

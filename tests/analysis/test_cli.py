@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.cli import main
 from repro.analysis.registry import all_rules
 
@@ -20,8 +19,8 @@ FLOW_DIRTY = str(CORPUS / "bad_rc_sum.py")
 TAINT_DIRTY = str(CORPUS / "bad_env_cache_key.py")
 #: Workers drawing underived streams (CON001 + TNT002 under --flow).
 SEED_DIRTY = str(CORPUS / "bad_campaign_seed.py")
-#: One violation of each PERF rule inside a hot `simulate` entry.
-PERF_DIRTY = str(FLOW_FIXTURES / "perf_violations.py")
+#: One violation of each TNT rule (plus line-rule findings).
+TNT_DIRTY = str(FLOW_FIXTURES / "tnt_violations.py")
 
 
 def test_clean_file_exits_zero(capsys):
@@ -154,7 +153,7 @@ class TestFlowFlag:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for line in out.splitlines():
-            if line.startswith(("DIM", "CON", "TNT", "PERF")):
+            if line.startswith(("DIM", "CON", "TNT")):
                 assert "(flow)" in line
 
 
@@ -184,7 +183,7 @@ class TestExclude:
                     "--exclude",
                     "*/hyg_*.py",
                     "--select",
-                    "HYG001,HYG002,HYG003,HYG004,HYG005",
+                    "HYG001,HYG003,HYG004,HYG005",
                 ]
             )
             == 0
@@ -278,41 +277,19 @@ class TestLintCacheFlag:
         assert warm_out == cold_out
 
 
-class TestPerfFamily:
-    def test_perf_warnings_exit_zero_by_default(self, capsys):
-        assert main([PERF_DIRTY, "--no-baseline", "--flow"]) == 0
-        out = capsys.readouterr().out
-        assert "PERF001" in out
-
-    def test_perf_strict_warnings_exit_two(self, capsys):
-        args = [PERF_DIRTY, "--no-baseline", "--flow", "--strict-warnings"]
-        assert main(args) == 2
-        out = capsys.readouterr().out
-        for code in ("PERF001", "PERF002", "PERF003", "PERF004", "PERF005"):
-            assert code in out
-
-    def test_select_perf_family_implies_flow(self, capsys):
-        args = [PERF_DIRTY, "--no-baseline", "--select", "PERF",
-                "--strict-warnings"]
-        assert main(args) == 2
-        out = capsys.readouterr().out
-        assert "PERF" in out
-        assert "DIM" not in out
-
-
 class TestPruneBaseline:
     def test_prune_drops_stale_and_keeps_live(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         assert main(
-            [PERF_DIRTY, "--flow", "--write-baseline",
+            [TNT_DIRTY, "--flow", "--write-baseline",
              "--baseline", str(baseline)]
         ) == 0
         payload = json.loads(baseline.read_text())
         stale = {
-            "path": PERF_DIRTY,
-            "code": "PERF001",
+            "path": TNT_DIRTY,
+            "code": "TNT001",
             "line": 999,
-            "message": "a loop that was fixed long ago",
+            "message": "a timestamp that was fixed long ago",
             "fingerprint": "0123456789abcdef",
             "justification": "kept to prove prune preserves the field",
         }
@@ -321,11 +298,11 @@ class TestPruneBaseline:
         capsys.readouterr()
 
         assert main(
-            [PERF_DIRTY, "--prune-baseline", "--baseline", str(baseline)]
+            [TNT_DIRTY, "--prune-baseline", "--baseline", str(baseline)]
         ) == 0
         out = capsys.readouterr().out
         assert "pruned 1 stale" in out
-        assert "a loop that was fixed long ago" in out
+        assert "a timestamp that was fixed long ago" in out
         pruned = json.loads(baseline.read_text())
         prints = {item["fingerprint"] for item in pruned["findings"]}
         assert "0123456789abcdef" not in prints
@@ -335,13 +312,13 @@ class TestPruneBaseline:
         """--select must not make unselected families look stale."""
         baseline = tmp_path / "base.json"
         assert main(
-            [PERF_DIRTY, "--flow", "--write-baseline",
+            [TNT_DIRTY, "--flow", "--write-baseline",
              "--baseline", str(baseline)]
         ) == 0
         before = json.loads(baseline.read_text())
         capsys.readouterr()
         assert main(
-            [PERF_DIRTY, "--prune-baseline", "--baseline", str(baseline),
+            [TNT_DIRTY, "--prune-baseline", "--baseline", str(baseline),
              "--select", "DET001"]
         ) == 0
         assert "pruned 0 stale" in capsys.readouterr().out
@@ -350,170 +327,7 @@ class TestPruneBaseline:
     def test_prune_without_baseline_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(
-                [PERF_DIRTY, "--prune-baseline",
+                [TNT_DIRTY, "--prune-baseline",
                  "--baseline", str(tmp_path / "absent.json")]
             )
-        assert excinfo.value.code == 2
-
-
-class TestRequireJustification:
-    def test_unjustified_entries_fail(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        assert main(
-            [DIRTY, "--write-baseline", "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            [DIRTY, "--baseline", str(baseline),
-             "--require-justification"]
-        ) == 1
-        err = capsys.readouterr().err
-        assert "without a justification" in err
-
-    def test_justified_entries_pass(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        assert main(
-            [DIRTY, "--write-baseline", "--baseline", str(baseline)]
-        ) == 0
-        base = baseline_mod.load(str(baseline))
-        items = [dict(item) for item in base.items]
-        for item in items:
-            item["justification"] = "accepted for the test"
-        baseline_mod.save_items(str(baseline), items)
-        capsys.readouterr()
-        assert main(
-            [DIRTY, "--baseline", str(baseline),
-             "--require-justification"]
-        ) == 0
-
-
-class TestHotspotsSubcommand:
-    @staticmethod
-    def _profile(tmp_path, stages):
-        path = tmp_path / "stages.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "repro-stage-profile",
-                    "version": 1,
-                    "stages": [
-                        {
-                            "name": name,
-                            "count": count,
-                            "total_seconds": 1.0,
-                            "mean_seconds": 0.5,
-                            "max_seconds": 0.7,
-                        }
-                        for name, count in stages
-                    ],
-                }
-            )
-        )
-        return str(path)
-
-    def test_unmeasured_without_profile(self, capsys):
-        assert main(["hotspots", PERF_DIRTY, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
-        assert payload["profile"] is None
-        assert payload["total_findings"] == 5
-        (stage,) = payload["stages"]
-        assert stage["stage"] == "run.simulate"
-        assert stage["bucket"] == "unmeasured"
-        lines = [f["line"] for f in stage["findings"]]
-        assert lines == sorted(lines)
-        assert {f["code"] for f in stage["findings"]} == {
-            "PERF001", "PERF002", "PERF003", "PERF004", "PERF005"
-        }
-        assert {f["hot_entry"] for f in stage["findings"]} == {
-            "perf_violations.simulate"
-        }
-
-    def test_profile_join_buckets_by_span_count(self, tmp_path, capsys):
-        profile = self._profile(
-            tmp_path, [("run.simulate", 6), ("chip.run", 2)]
-        )
-        assert main(
-            ["hotspots", PERF_DIRTY, "--profile", profile, "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        (stage,) = payload["stages"]
-        # 6 of 8 recorded spans -> >= 50% -> dominant.
-        assert stage["bucket"] == "dominant"
-        assert stage["span_count"] == 6
-
-    def test_text_output_is_byte_identical_across_runs(
-        self, tmp_path, capsys
-    ):
-        profile = self._profile(tmp_path, [("run.simulate", 4)])
-        args = ["hotspots", PERF_DIRTY, "--profile", profile]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert "rank 1 · stage run.simulate" in first
-
-    def test_output_ignores_wall_seconds(self, tmp_path, capsys):
-        """Two profiles with identical structure but different timings
-        produce byte-identical reports — the --jobs invariance contract."""
-        fast = self._profile(tmp_path, [("run.simulate", 4)])
-        slow_payload = json.loads(open(fast).read())
-        for stage in slow_payload["stages"]:
-            stage["total_seconds"] = 99.0
-            stage["mean_seconds"] = 24.75
-            stage["max_seconds"] = 50.0
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(slow_payload))
-        assert main(["hotspots", PERF_DIRTY, "--profile", fast]) == 0
-        first = capsys.readouterr().out
-        assert main(["hotspots", PERF_DIRTY, "--profile", str(slow)]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-
-    def test_bad_profile_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "something-else"}')
-        with pytest.raises(SystemExit) as excinfo:
-            main(["hotspots", PERF_DIRTY, "--profile", str(bad)])
-        assert excinfo.value.code == 2
-
-    def test_unknown_span_names_are_usage_error(self, tmp_path, capsys):
-        # A profile from a different build (spans this build never
-        # emits) degrades to a clear usage error, not a KeyError.
-        profile = self._profile(
-            tmp_path, [("run.simulate", 4), ("warp.drive", 2)]
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main(["hotspots", PERF_DIRTY, "--profile", profile])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "warp.drive" in err
-        assert "catalog" in err
-
-    def test_experiment_spans_are_in_catalog(self, tmp_path, capsys):
-        # Dynamic experiment.* spans are legitimate catalog members.
-        profile = self._profile(
-            tmp_path, [("run.simulate", 4), ("experiment.fig02", 1)]
-        )
-        assert main(
-            ["hotspots", PERF_DIRTY, "--profile", profile, "--json"]
-        ) == 0
-
-    def test_malformed_stage_entry_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps({
-                "schema": "repro-stage-profile",
-                "version": 1,
-                "stages": [{"count": 3}],
-            })
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main(["hotspots", PERF_DIRTY, "--profile", str(bad)])
-        assert excinfo.value.code == 2
-
-    def test_nonexistent_path_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["hotspots", "no/such/path.py"])
         assert excinfo.value.code == 2

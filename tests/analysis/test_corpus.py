@@ -1,4 +1,4 @@
-"""The known-bug corpus gate: sixteen wrong snippets, all caught.
+"""The known-bug corpus gate: eleven wrong snippets, all caught.
 
 Acceptance criterion for the flow engine: analyzing each corpus snippet
 yields **exactly** the finding set its ``# expect`` markers declare —
@@ -25,11 +25,6 @@ SNIPPETS = [
     "bad_set_reduction.py",
     "bad_completion_order.py",
     "bad_env_cache_key.py",
-    "bad_cycle_loop.py",
-    "bad_append_accumulation.py",
-    "bad_unbatched_filter.py",
-    "bad_hot_allocation.py",
-    "bad_membership_scan.py",
 ]
 
 

@@ -25,7 +25,6 @@ class TestFixtureMarkers:
             "dim_violations.py",
             "con_violations.py",
             "tnt_violations.py",
-            "perf_violations.py",
         ],
     )
     def test_markers_match_exactly(self, fixture):
@@ -50,7 +49,7 @@ class TestFixtureMarkers:
             )
             assert not [
                 f for f in findings
-                if family_of(f.code) in ("DIM", "CON", "TNT", "PERF")
+                if family_of(f.code) in ("DIM", "CON", "TNT")
             ]
 
 
@@ -176,7 +175,3 @@ class TestQuietness:
         assert by_code["TNT003"] is Severity.WARNING
         assert by_code["TNT004"] is Severity.ERROR
         assert by_code["TNT005"] is Severity.ERROR
-        # PERF findings are worklist items, not bugs: always warnings,
-        # gated only via --strict-warnings plus the justified baseline.
-        for code in ("PERF001", "PERF002", "PERF003", "PERF004", "PERF005"):
-            assert by_code[code] is Severity.WARNING

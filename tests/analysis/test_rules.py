@@ -74,14 +74,14 @@ class TestRuleMetadata:
         for rule in rules:
             family = family_of(rule.code)
             assert family in (
-                "DET", "UNI", "HYG", "OBS", "DIM", "CON", "TNT", "PERF"
+                "DET", "UNI", "HYG", "OBS", "DIM", "CON", "TNT"
             )
             assert rule.code[len(family):].isdigit()
             assert rule.name
             assert rule.description
             assert isinstance(rule.severity, Severity)
             # Flow rules belong to the dataflow families and vice versa.
-            assert rule.flow == (family in ("DIM", "CON", "TNT", "PERF"))
+            assert rule.flow == (family in ("DIM", "CON", "TNT"))
 
     def test_fixture_dir_fails_as_a_whole(self):
         findings = lint_paths([str(FIXTURES)])

@@ -7,21 +7,15 @@ anywhere under src/repro fails the suite with an exact location.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import repro
 from repro.analysis import flow_paths, lint_paths
 from repro.analysis.findings import Severity
-from repro.analysis.registry import family_of
 
 
 def src_repro_dir() -> str:
     return str(Path(repro.__file__).resolve().parent)
-
-
-def repo_root() -> Path:
-    return Path(__file__).resolve().parents[2]
 
 
 def test_src_repro_is_simlint_clean():
@@ -29,83 +23,15 @@ def test_src_repro_is_simlint_clean():
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
-def test_src_repro_is_flow_clean_outside_perf():
+def test_src_repro_is_flow_clean():
     """The dataflow engine (DIM/CON/TNT) reports nothing.
 
     This is the dimensional-analysis analogue of the line-rule gate:
     any new Ω+F sum, wrong-dimension argument, fresh-entropy worker
     stream, or worker-side global write fails with an exact location.
-    PERF warnings are the one exception — they form the vectorization
-    worklist and are held to the justified baseline by the test below.
     """
-    findings = [
-        f for f in flow_paths([src_repro_dir()])
-        if family_of(f.code) != "PERF"
-    ]
+    findings = flow_paths([src_repro_dir()])
     assert findings == [], "\n".join(f.format() for f in findings)
-
-
-def test_src_repro_perf_findings_match_justified_baseline(monkeypatch):
-    """Every PERF finding in src/repro is baselined *with* a reason.
-
-    The PERF family flags hot loops worth vectorizing, not bugs; the
-    contract is that each one is either fixed or carried in
-    ``simlint-baseline.json`` with a non-empty justification string
-    saying why it stays.  A new hot loop (or a fixed one whose stale
-    entry lingers) fails here with the exact delta.
-    """
-    root = repo_root()
-    payload = json.loads(
-        (root / "simlint-baseline.json").read_text(encoding="utf-8")
-    )
-    baselined = {
-        (item["path"], item["code"], item["fingerprint"])
-        for item in payload["findings"]
-        if family_of(item["code"]) == "PERF"
-    }
-    for item in payload["findings"]:
-        if family_of(item["code"]) == "PERF":
-            assert str(item.get("justification", "")).strip(), (
-                f"{item['path']}:{item['line']} {item['code']} is "
-                "baselined without a justification"
-            )
-    # Fingerprints hash the repo-relative path the baseline was written
-    # with, so lint from the repo root using the same relative path.
-    monkeypatch.chdir(root)
-    live = {
-        (f.path, f.code, f.fingerprint)
-        for f in flow_paths(["src/repro"])
-        if family_of(f.code) == "PERF"
-    }
-    assert live == baselined, (
-        f"unbaselined PERF findings: {sorted(live - baselined)}; "
-        f"stale baseline entries: {sorted(baselined - live)}"
-    )
-
-
-def test_perf_worklist_is_burned_down(monkeypatch):
-    """The vectorization worklist is empty and stays empty.
-
-    The hot path is vectorized end to end (docs/performance.md), so
-    ``src/repro`` produces zero live PERF findings and the committed
-    baseline grandfathers none — a new per-cycle loop, stackable
-    append, or unbatched filter call on a measured hot path fails
-    here (and in CI's ``perf-baseline-empty`` step) immediately.
-    """
-    monkeypatch.chdir(repo_root())
-    live = [
-        f for f in flow_paths(["src/repro"])
-        if family_of(f.code) == "PERF"
-    ]
-    assert live == [], "\n".join(f.format() for f in live)
-    payload = json.loads(
-        (repo_root() / "simlint-baseline.json").read_text(encoding="utf-8")
-    )
-    grandfathered = [
-        item for item in payload["findings"]
-        if family_of(item["code"]) == "PERF"
-    ]
-    assert grandfathered == []
 
 
 def test_src_repro_has_no_errors_even_at_warning_level():

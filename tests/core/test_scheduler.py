@@ -5,7 +5,7 @@ import collections
 import pytest
 
 from repro.core.policies import DroopPolicy, IPCPolicy, RandomPolicy, SPECratePolicy
-from repro.core.scheduler import BatchScheduler, PairOracle
+from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.errors import SchedulingError
 from repro.measurement.campaign import MeasurementCampaign
 
@@ -15,7 +15,7 @@ SUBSET = ("gamess", "lbm", "mcf", "namd", "sphinx")
 @pytest.fixture(scope="module")
 def scheduler():
     campaign = MeasurementCampaign("Proc3", n_cycles=12_000, seed=2)
-    return BatchScheduler(PairOracle(campaign), programs=SUBSET)
+    return BatchScheduler(GroupOracle(campaign), programs=SUBSET)
 
 
 class TestPairOracle:

@@ -17,7 +17,7 @@ from repro import (
     WORST_CASE_MARGIN,
     spec_benchmark,
 )
-from repro.core import BatchScheduler, DroopPolicy, IPCPolicy, PairOracle
+from repro.core import BatchScheduler, DroopPolicy, GroupOracle, IPCPolicy
 from repro.measurement.droops import detect_droops
 
 N = 40_000
@@ -103,7 +103,7 @@ class TestPaperStoryline:
         assert fine.margin <= coarse.margin
 
     def test_act3_noise_aware_scheduling_reduces_droops(self, campaign):
-        oracle = PairOracle(campaign)
+        oracle = GroupOracle(campaign)
         scheduler = BatchScheduler(oracle, programs=self.SUBSET)
         baseline = scheduler.evaluate(
             scheduler.specrate_schedule(), "SPECrate"

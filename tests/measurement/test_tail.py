@@ -1,5 +1,7 @@
 """Unit tests for the droop-depth tail model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,17 @@ class TestFitting:
         model = DroopTailModel(stats_from_depths([0.03, 0.04]))
         # Still answers, steeply decaying.
         assert model.rate(0.05) < model.rate(0.03)
+
+    def test_tied_depths_take_the_few_events_fallback(self):
+        """No depth lies above the lower quartile when every depth ties;
+        the model must fall back instead of fitting an empty tail."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = DroopTailModel(stats_from_depths([0.03] * 100))
+            assert np.isfinite(model.beta) and model.beta > 0
+            for margin in (0.02, 0.03, 0.05):
+                rate = model.rate(margin)
+                assert np.isfinite(rate) and rate > 0
 
     def test_no_events_fallback(self):
         model = DroopTailModel(stats_from_depths([]))
