@@ -1,14 +1,11 @@
 """The policy arena: N-core scheduling policies benchmarked head-to-head.
 
 Layered on the generalized N-core oracle/scheduler in
-:mod:`repro.core.scheduler`:
+:mod:`repro.core.scheduler` (which also defines the partition
+:class:`~repro.core.scheduler.Schedule` and its cover contract) and on
+the policies of :mod:`repro.core.policies`, each of which answers
+``propose(programs, n_cores, oracle, seed)`` under a stable key:
 
-* :mod:`repro.arena.schedule` — partition schedules and the
-  permutation-complete-cover contract;
-* :mod:`repro.arena.policies` — the ``propose(programs, n_cores,
-  oracle, seed)`` interface, the five ported pair policies, and the new
-  RandomN / IPC-packing / DVFS-margin axes;
-* :mod:`repro.arena.registry` — stable-key policy registry;
 * :mod:`repro.arena.oracle` — exhaustive-search baseline for regret;
 * :mod:`repro.arena.suites` — named workload suites;
 * :mod:`repro.arena.harness` — the head-to-head runner and scorecards;
@@ -32,47 +29,21 @@ from repro.arena.oracle import (
     exhaustive_baseline,
     iter_partitions,
 )
-from repro.arena.policies import (
-    ArenaPolicy,
-    DroopArenaPolicy,
-    DVFSMarginPolicy,
-    GreedyGroupPolicy,
-    HybridArenaPolicy,
-    IPCArenaPolicy,
-    IPCPackingPolicy,
-    RandomArenaPolicy,
-    RandomNPolicy,
-    StallArenaPolicy,
-)
-from repro.arena.registry import build_policies, registered_keys
 from repro.arena.report import json_payload, json_report, markdown_report
-from repro.arena.schedule import (
-    Schedule,
-    group_sizes,
-    validate_cover,
-)
 from repro.arena.suites import SUITES, suite_names, suite_programs
+from repro.core.policies import build_policies, registered_keys
+from repro.core.scheduler import Schedule, group_sizes, validate_cover
 
 __all__ = [
-    "ArenaPolicy",
     "ArenaResult",
     "DEFAULT_CONFIG",
     "DEFAULT_CYCLES",
     "DEFAULT_RECOVERY_COST",
     "DEFAULT_SEARCH_LIMIT",
-    "DroopArenaPolicy",
-    "DVFSMarginPolicy",
-    "GreedyGroupPolicy",
-    "HybridArenaPolicy",
-    "IPCArenaPolicy",
-    "IPCPackingPolicy",
     "OracleBaseline",
     "PolicyScorecard",
-    "RandomArenaPolicy",
-    "RandomNPolicy",
     "SUITES",
     "Schedule",
-    "StallArenaPolicy",
     "build_policies",
     "exhaustive_baseline",
     "group_sizes",

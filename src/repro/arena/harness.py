@@ -32,15 +32,13 @@ from repro.arena.oracle import (
     OracleBaseline,
     exhaustive_baseline,
 )
-from repro.arena.policies import WORST_CASE_MARGIN
-from repro.arena.registry import build_policies
-from repro.arena.schedule import Schedule, group_sizes, validate_cover
 from repro.arena.suites import suite_programs
-from repro.core.scheduler import Group, GroupOracle
+from repro.core.policies import build_policies
+from repro.core.scheduler import Group, GroupOracle, Schedule, validate_cover
 from repro.errors import SchedulingError
 from repro.measurement.campaign import MeasurementCampaign
 from repro.pdn import platform
-from repro.pdn.undervolt import CRITICAL_VOLTAGE
+from repro.pdn.undervolt import CRITICAL_VOLTAGE, OPERATING_MARGIN
 
 #: Cycles one error recovery costs (the paper's mid-range rollback
 #: mechanism; Tab. I / Fig. 8 sweep 1..100K around it).
@@ -114,7 +112,7 @@ def _energy_proxy(max_droops: Sequence[float]) -> float:
     """
     nominal_floor = CRITICAL_VOLTAGE / platform.NOMINAL_VOLTAGE
     levels = [nominal_floor / (1.0 - d) for d in max_droops]
-    reference = nominal_floor / (1.0 - WORST_CASE_MARGIN)
+    reference = nominal_floor / (1.0 - OPERATING_MARGIN)
     return float(np.mean([(v / reference) ** 2 for v in levels]))
 
 

@@ -15,8 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arena.schedule import Schedule, group_sizes
-from repro.core.scheduler import Group, GroupOracle
+from repro.core.scheduler import Group, GroupOracle, Schedule, group_sizes
 from repro.errors import SchedulingError
 
 #: Registry key reserved for the exhaustive baseline (not a policy).

@@ -11,10 +11,13 @@
 * :mod:`repro.core.interference` — single-core event swings (Fig. 12),
   the cross-core event interference matrix (Fig. 13) and the sliding-window
   co-schedule experiment (Fig. 16).
-* :mod:`repro.core.policies` — scheduling policies: Droop, IPC,
-  IPC/Droop^n, Random and the SPECrate baseline.
-* :mod:`repro.core.scheduler` — the batch co-scheduling experiment and the
-  pass/fail analysis of Figs. 18-19 and Tab. I.
+* :mod:`repro.core.scheduler` — the pairing oracle, the batch
+  co-scheduling experiment with its SPECrate baseline, the pass/fail
+  analysis of Figs. 18-19 and Tab. I, and the arena's partition schedules.
+* :mod:`repro.core.policies` — scheduling policies: the paper's Droop,
+  IPC, IPC/Droop^n and Random, the stall-ratio proxy, and the arena's
+  RandomN, IPC-packing and DVFS-margin placements, keyed for
+  :func:`~repro.core.policies.build_policies`.
 """
 
 from repro.core.resilience import (
@@ -38,19 +41,27 @@ from repro.core.interference import (
     single_core_event_swings,
     sliding_window_experiment,
 )
-from repro.core.policies import (
-    DroopPolicy,
-    HybridPolicy,
-    IPCPolicy,
-    RandomPolicy,
-    SchedulingPolicy,
-    SPECratePolicy,
-)
 from repro.core.scheduler import (
     BatchScheduler,
     Group,
     GroupOracle,
+    Schedule,
     ScheduleEvaluation,
+    group_sizes,
+    validate_cover,
+)
+from repro.core.policies import (
+    DroopPolicy,
+    DVFSMarginPolicy,
+    HybridPolicy,
+    IPCPackingPolicy,
+    IPCPolicy,
+    RandomNPolicy,
+    RandomPolicy,
+    SchedulingPolicy,
+    StallRatioPolicy,
+    build_policies,
+    registered_keys,
 )
 
 __all__ = [
@@ -70,14 +81,22 @@ __all__ = [
     "idle_baseline_pkpk",
     "single_core_event_swings",
     "sliding_window_experiment",
-    "DroopPolicy",
-    "HybridPolicy",
-    "IPCPolicy",
-    "RandomPolicy",
-    "SchedulingPolicy",
-    "SPECratePolicy",
     "BatchScheduler",
     "Group",
     "GroupOracle",
+    "Schedule",
     "ScheduleEvaluation",
+    "group_sizes",
+    "validate_cover",
+    "DroopPolicy",
+    "DVFSMarginPolicy",
+    "HybridPolicy",
+    "IPCPackingPolicy",
+    "IPCPolicy",
+    "RandomNPolicy",
+    "RandomPolicy",
+    "SchedulingPolicy",
+    "StallRatioPolicy",
+    "build_policies",
+    "registered_keys",
 ]

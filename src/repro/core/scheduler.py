@@ -8,17 +8,19 @@ schedules that still meet the typical-case design target as recovery costs
 grow (Tab. I, Fig. 19).
 
 The machinery is N-core: :class:`GroupOracle` measures any co-running
-group the campaign's chip can host, and :class:`BatchScheduler` places
-groups of ``group_size`` programs.  The paper's dual-core limit study is
-the ``group_size=2`` special case, and its behavior — the exact random
-streams, candidate orders and scores — is bit-identical to the historical
-pair-only implementation (pinned by ``tests/arena/test_pair_equivalence.py``).
+group the campaign's chip can host, :class:`BatchScheduler` places
+groups of ``group_size`` programs, and :class:`Schedule` is the arena's
+partition of a job pool over N-core supplies.  The paper's dual-core
+limit study is the ``group_size=2`` special case, and its behavior — the
+exact random streams, candidate orders and scores — is bit-identical to
+the historical pair-only implementation (pinned by
+``tests/arena/test_pair_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +28,89 @@ from repro import observability as obs
 from repro.errors import SchedulingError
 from repro.measurement.campaign import MeasurementCampaign, RunMeasurement
 from repro.measurement.droops import CHARACTERIZATION_MARGIN
-from repro.core.policies import SchedulingPolicy, SPECratePolicy
 from repro.random_utils import SeedLike, as_generator
 
 Pair = Tuple[str, str]
 #: An N-core co-running group (2-tuples are the paper's pairs).
 Group = Tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """One policy's placement of a job pool onto N-core supplies.
+
+    A partition cover: every program of the pool sits in exactly one
+    co-running group.  This is the batch-window view of scheduling (one
+    pass over the pool), as opposed to :class:`BatchScheduler`'s
+    job-stream view where programs repeat; partitions make policies
+    directly comparable — every policy spends the same core-cycles on the
+    same work, so throughput, droop overhead and energy differences are
+    attributable to *placement* alone.
+    """
+
+    #: Registry key of the policy that proposed it.
+    policy: str
+    #: Cores per shared supply (max group size).
+    n_cores: int
+    #: The co-running groups; together they cover the pool.
+    groups: Tuple[Group, ...]
+
+    @property
+    def programs(self) -> Tuple[str, ...]:
+        """Every placed program, in group order."""
+        return tuple(name for group in self.groups for name in group)
+
+    def canonical(self) -> "Schedule":
+        """Sort members within groups and groups among themselves.
+
+        Group-member order is simulation-relevant (core 0 vs core 1 draw
+        different derived streams), so the harness always evaluates the
+        canonical form — making every score invariant under the member
+        orderings a symmetric policy might emit.
+        """
+        groups = tuple(sorted(tuple(sorted(g)) for g in self.groups))
+        return replace(self, groups=groups)
+
+
+def validate_cover(
+    schedule: Schedule, programs: Sequence[str]
+) -> Schedule:
+    """Check the permutation-complete-cover contract; return the schedule.
+
+    Every program of the pool appears exactly once across the groups, no
+    group is empty, and no group holds more members than the supply has
+    cores.  Violations raise :class:`~repro.errors.SchedulingError`
+    naming the offending policy.
+    """
+    for group in schedule.groups:
+        if not 1 <= len(group) <= schedule.n_cores:
+            raise SchedulingError(
+                f"policy {schedule.policy!r} emitted a group of "
+                f"{len(group)} for {schedule.n_cores} cores: {group!r}"
+            )
+    placed = sorted(schedule.programs)
+    expected = sorted(programs)
+    if placed != expected:
+        raise SchedulingError(
+            f"policy {schedule.policy!r} did not cover the pool exactly "
+            f"once: placed {placed!r}, expected {expected!r}"
+        )
+    return schedule
+
+
+def group_sizes(n_programs: int, n_cores: int) -> Tuple[int, ...]:
+    """Canonical group sizes for a pool: full supplies plus a remainder.
+
+    ``group_sizes(10, 4) == (4, 4, 2)`` — every supply filled, with at
+    most one under-filled group soaking up the remainder (its idle cores
+    run the idle loop during measurement).
+    """
+    if n_cores < 2:
+        raise SchedulingError("n_cores must be >= 2")
+    if n_programs < 1:
+        raise SchedulingError("need at least one program")
+    full, remainder = divmod(n_programs, n_cores)
+    return (n_cores,) * full + ((remainder,) if remainder else ())
 
 
 def _count_schedule(groups: Tuple[Group, ...]) -> Tuple[Group, ...]:
@@ -181,6 +260,11 @@ class BatchScheduler:
     group_size:
         Programs co-scheduled per supply — the chip's core count as seen
         by the scheduler.  ``2`` reproduces the paper's dual-core study.
+
+    The ``policy`` arguments are :class:`repro.core.policies.SchedulingPolicy`
+    instances, typed ``Any`` here because that module builds on this one.
+    Only group scorers fit the job-stream walk: a whole-partition policy's
+    ``score_group`` raises :class:`~repro.errors.SchedulingError`.
     """
 
     def __init__(
@@ -214,7 +298,7 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def build_schedule(
         self,
-        policy: SchedulingPolicy,
+        policy: Any,
         n_pairs: int = 50,
         max_repeats: Optional[int] = None,
         seed: SeedLike = None,
@@ -228,8 +312,6 @@ class BatchScheduler:
         """
         if n_pairs < 1:
             raise SchedulingError("n_pairs must be >= 1")
-        if isinstance(policy, SPECratePolicy):
-            return _count_schedule(self.specrate_schedule(n_pairs))
         if max_repeats is None:
             max_repeats = max(
                 2,
@@ -303,7 +385,7 @@ class BatchScheduler:
 
     def run_policy(
         self,
-        policy: SchedulingPolicy,
+        policy: Any,
         n_pairs: int = 50,
         seed: SeedLike = None,
     ) -> ScheduleEvaluation:
@@ -316,7 +398,7 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def partner_map(
         self,
-        policy: SchedulingPolicy,
+        policy: Any,
         max_partner_load: int = 2,
         seed: SeedLike = None,
     ) -> Dict[str, str]:
@@ -339,7 +421,7 @@ class BatchScheduler:
             if not candidates:
                 candidates = list(self._programs)
             scores = np.array([
-                policy.score(anchor, partner, self._oracle)
+                policy.score_group((anchor, partner), self._oracle)
                 for partner in candidates
             ])
             partner = candidates[int(np.argmax(scores))]

@@ -1,8 +1,8 @@
 """Extension — the policy arena: N-core schedulers head-to-head.
 
 ROADMAP item 3: the paper's droop-aware pair policy is one point in a
-policy space.  This harness runs the whole arena registry (the five
-ported pair policies plus RandomN, IPC-packing and DVFS-margin) over a
+policy space.  This harness runs every arena policy (the paper's five
+pair policies plus RandomN, IPC-packing and DVFS-margin) over a
 named suite on dual- and quad-core shared-rail chips, reporting each
 policy's droop overhead, throughput, energy proxy and regret against
 the exhaustive oracle optimum.

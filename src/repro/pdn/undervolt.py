@@ -20,8 +20,8 @@ Two numbers fall out:
   most of the guardband);
 * the **worst-case operating margin** — ``(Vnom − V_crit)/Vnom``, the
   guardband the shipped part actually carries; the reproduction's
-  ``WORST_CASE_MARGIN = 14 %`` constant is *this derived quantity*, not an
-  assumption.
+  ``WORST_CASE_MARGIN = 14 %`` constant is *this derived quantity*
+  (rounded; :data:`OPERATING_MARGIN` keeps it exact), not an assumption.
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ from repro.pdn import platform
 #: shipped 1.86 GHz clock.  1.118 V = 86 % of the 1.30 V nominal — the
 #: complement of the 14 % guardband the paper measures.
 CRITICAL_VOLTAGE = 1.118
+
+#: The guardband the shipped part carries, ``(Vnom − V_crit)/Vnom``.
+#: Derived, so it differs from :data:`repro.pdn.platform.WORST_CASE_MARGIN`
+#: (the rounded 0.14) in the last bits.
+OPERATING_MARGIN = (
+    platform.NOMINAL_VOLTAGE - CRITICAL_VOLTAGE
+) / platform.NOMINAL_VOLTAGE
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from repro.arena import (
 )
 from repro.arena.harness import rank
 from repro.arena.oracle import ORACLE_KEY
-from repro.arena.policies import WORST_CASE_MARGIN
 from repro.errors import SchedulingError
+from repro.pdn.undervolt import OPERATING_MARGIN
 
 from tests.arena.conftest import FakeOracle
 
@@ -60,7 +60,7 @@ class TestScoreSchedule:
         assert 0.0 < card.energy_proxy < 1.0
         assert max(
             FakeOracle().max_droop_metric(*g) for g in _schedule().groups
-        ) < WORST_CASE_MARGIN
+        ) < OPERATING_MARGIN
 
     def test_regret_clamped_at_zero(self):
         """A policy may legitimately beat the canonical-shape oracle

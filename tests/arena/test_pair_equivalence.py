@@ -13,6 +13,7 @@ drift here means dual-core results across the repo silently changed.
 
 import pytest
 
+from repro.arena import build_policies
 from repro.core.policies import (
     DroopPolicy,
     HybridPolicy,
@@ -93,13 +94,28 @@ def scheduler():
     return BatchScheduler(GroupOracle(campaign), programs=SUBSET)
 
 
+def _assert_captured(evaluation, label):
+    _, _, pairs, mean_droops, mean_ipc = CAPTURED[label]
+    assert evaluation.groups == pairs
+    assert evaluation.mean_droops == mean_droops  # simlint: disable=HYG001 (byte-for-byte contract)
+    assert evaluation.mean_ipc == mean_ipc  # simlint: disable=HYG001 (byte-for-byte contract)
+
+
 class TestPairEquivalence:
     @pytest.mark.parametrize("label", sorted(CAPTURED))
     def test_reproduces_pre_refactor_schedule(self, scheduler, label):
-        factory, seed, pairs, mean_droops, mean_ipc = CAPTURED[label]
+        factory, seed = CAPTURED[label][:2]
         evaluation = scheduler.run_policy(
             factory(), n_pairs=N_PAIRS, seed=seed
         )
-        assert evaluation.groups == pairs
-        assert evaluation.mean_droops == mean_droops  # simlint: disable=HYG001 (byte-for-byte contract)
-        assert evaluation.mean_ipc == mean_ipc  # simlint: disable=HYG001 (byte-for-byte contract)
+        _assert_captured(evaluation, label)
+
+    @pytest.mark.parametrize("label", ["droop", "hybrid", "ipc", "stall"])
+    def test_arena_policy_reproduces_pre_refactor_schedule(
+        self, scheduler, label
+    ):
+        """The arena's instance, built by key, is the same scorer."""
+        evaluation = scheduler.run_policy(
+            build_policies([label])[0], n_pairs=N_PAIRS, seed=CAPTURED[label][1]
+        )
+        _assert_captured(evaluation, label)

@@ -1,11 +1,11 @@
 """Seed-plumbing regression for the random arena policies.
 
-The old pair-only :class:`~repro.core.policies.RandomPolicy` defaulted
-to ``seed=None`` — the library-wide default stream — so a reused policy
-instance advanced shared state between builds and two "independent"
-random controls could correlate.  The arena registry must never hit
-that default: every random draw derives from the campaign seed through
-:meth:`~repro.arena.policies.ArenaPolicy.rng`
+:class:`~repro.core.policies.RandomPolicy` defaults to ``seed=None`` —
+the library-wide default stream — so a reused instance's scores advance
+shared state between builds and two "independent" random controls could
+correlate.  ``propose`` must never hit that default: every random draw
+derives from the campaign seed through
+:meth:`~repro.core.policies.SchedulingPolicy.rng`
 (``derive_generator(seed, "arena", "policy", <key>)``).
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.arena import build_policies
-from repro.arena.policies import RandomArenaPolicy, RandomNPolicy
+from repro.core.policies import RandomNPolicy, RandomPolicy, SchedulingPolicy
 from repro.random_utils import derive_generator
 
 from tests.arena.conftest import FakeOracle
@@ -24,22 +24,22 @@ POOL = (
 )
 
 
-class TestRandomArenaPolicy:
+class TestRandomPolicyPropose:
     def test_reuse_is_stateless(self):
         """A reused instance must not drift — the historical bug: the
         default-stream RandomPolicy advanced shared state per call."""
-        policy = RandomArenaPolicy()
+        policy = RandomPolicy()
         first = policy.propose(POOL, 2, FakeOracle(), seed=5)
         again = policy.propose(POOL, 2, FakeOracle(), seed=5)
         assert first == again
 
     def test_instances_agree_for_equal_seeds(self):
-        a = RandomArenaPolicy().propose(POOL, 2, FakeOracle(), seed=5)
-        b = RandomArenaPolicy().propose(POOL, 2, FakeOracle(), seed=5)
+        a = RandomPolicy().propose(POOL, 2, FakeOracle(), seed=5)
+        b = RandomPolicy().propose(POOL, 2, FakeOracle(), seed=5)
         assert a == b
 
     def test_seed_changes_schedule(self):
-        policy = RandomArenaPolicy()
+        policy = RandomPolicy()
         schedules = {
             policy.propose(POOL, 2, FakeOracle(), seed=s).canonical().groups
             for s in range(8)
@@ -47,12 +47,18 @@ class TestRandomArenaPolicy:
         assert len(schedules) > 1
 
     def test_scorer_stream_derives_from_campaign_seed(self):
-        """The registry fix itself: the wrapped RandomPolicy draws from
-        the arena-derived stream, not RandomPolicy's default."""
-        expected = derive_generator(7, "arena", "policy", "random")
-        scorer = RandomArenaPolicy().scorer(7)
-        drawn = scorer.score_group(("lbm", "mcf"), FakeOracle())
-        assert drawn == expected.random()
+        """The seed fix itself: ``propose`` scores with the arena-derived
+        stream, not RandomPolicy's default — the greedy walk on a
+        RandomPolicy seeded with that stream gives the same schedule."""
+        expected = RandomPolicy(
+            seed=derive_generator(7, "arena", "policy", "random")
+        )
+        greedy = SchedulingPolicy.propose(expected, POOL, 2, FakeOracle(), 7)
+        assert RandomPolicy().propose(POOL, 2, FakeOracle(), seed=7) == greedy
+        default = SchedulingPolicy.propose(
+            RandomPolicy(), POOL, 2, FakeOracle(), 7
+        )
+        assert default != greedy
 
     def test_registry_instances_are_fresh_and_reproducible(self):
         first = build_policies(["random"])[0]

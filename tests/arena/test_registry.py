@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arena import build_policies, registered_keys
-from repro.arena.registry import register
 from repro.errors import ConfigurationError
 
 
@@ -27,7 +26,3 @@ class TestRegistry:
     def test_unknown_key_lists_choices(self):
         with pytest.raises(ConfigurationError, match="droop.*stall"):
             build_policies(["nope"])
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register("droop", object)

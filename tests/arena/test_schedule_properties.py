@@ -21,16 +21,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arena import (
+    Schedule,
     build_policies,
     group_sizes,
     iter_partitions,
     registered_keys,
     validate_cover,
 )
-from repro.arena.policies import MarginHeadroomPolicy
-from repro.arena.schedule import Schedule
 from repro.core.policies import (
     DroopPolicy,
+    DVFSMarginPolicy,
     HybridPolicy,
     IPCPolicy,
     RandomPolicy,
@@ -131,7 +131,7 @@ SYMMETRIC_SCORERS = (
     IPCPolicy(),
     HybridPolicy(1.0),
     StallRatioPolicy(),
-    MarginHeadroomPolicy(0.5),
+    DVFSMarginPolicy(0.5),
 )
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.policies import (
     DroopPolicy,
+    DVFSMarginPolicy,
     HybridPolicy,
     IPCPolicy,
     RandomPolicy,
-    SPECratePolicy,
 )
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 
 
 class FakeOracle:
@@ -30,26 +30,34 @@ class TestDroopPolicy:
     def test_prefers_fewer_droops(self):
         oracle = FakeOracle()
         policy = DroopPolicy()
-        assert policy.score("a", "b", oracle) > policy.score("a", "c", oracle)
+        assert policy.score_group(("a", "b"), oracle) > policy.score_group(
+            ("a", "c"), oracle
+        )
 
 
 class TestIPCPolicy:
     def test_prefers_throughput(self):
         oracle = FakeOracle()
         policy = IPCPolicy()
-        assert policy.score("a", "c", oracle) > policy.score("a", "b", oracle)
+        assert policy.score_group(("a", "c"), oracle) > policy.score_group(
+            ("a", "b"), oracle
+        )
 
 
 class TestHybridPolicy:
     def test_zero_exponent_is_pure_ipc(self):
         oracle = FakeOracle()
         policy = HybridPolicy(0.0)
-        assert policy.score("a", "c", oracle) > policy.score("a", "b", oracle)
+        assert policy.score_group(("a", "c"), oracle) > policy.score_group(
+            ("a", "b"), oracle
+        )
 
     def test_large_exponent_weighs_droops(self):
         oracle = FakeOracle()
         policy = HybridPolicy(4.0)
-        assert policy.score("a", "b", oracle) > policy.score("a", "c", oracle)
+        assert policy.score_group(("a", "b"), oracle) > policy.score_group(
+            ("a", "c"), oracle
+        )
 
     def test_exponent_grows_with_recovery_cost(self):
         fine = HybridPolicy.for_recovery_cost(1)
@@ -61,6 +69,10 @@ class TestHybridPolicy:
             HybridPolicy(-1.0)
         with pytest.raises(ConfigurationError):
             HybridPolicy.for_recovery_cost(0)
+        with pytest.raises(ConfigurationError):
+            DVFSMarginPolicy(2.0)
+        with pytest.raises(ConfigurationError):
+            DVFSMarginPolicy(0.0)
 
 
 class TestRandomPolicy:
@@ -68,15 +80,7 @@ class TestRandomPolicy:
         oracle = FakeOracle()
         a = RandomPolicy(seed=1)
         b = RandomPolicy(seed=1)
-        assert [a.score("a", "b", oracle) for _ in range(5)] == [
-            b.score("a", "b", oracle) for _ in range(5)
+        assert [a.score_group(("a", "b"), oracle) for _ in range(5)] == [
+            b.score_group(("a", "b"), oracle) for _ in range(5)
         ]
 
-
-class TestSPECratePolicy:
-    def test_rejects_cross_pairs(self):
-        with pytest.raises(SchedulingError):
-            SPECratePolicy().score("a", "b", FakeOracle())
-
-    def test_accepts_self_pairs(self):
-        assert SPECratePolicy().score("a", "a", FakeOracle()) == 0.0  # simlint: disable=HYG001 (exact by construction)

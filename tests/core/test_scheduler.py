@@ -4,7 +4,13 @@ import collections
 
 import pytest
 
-from repro.core.policies import DroopPolicy, IPCPolicy, RandomPolicy, SPECratePolicy
+from repro.core.policies import (
+    DroopPolicy,
+    IPCPolicy,
+    IPCPackingPolicy,
+    RandomNPolicy,
+    RandomPolicy,
+)
 from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.errors import SchedulingError
 from repro.measurement.campaign import MeasurementCampaign
@@ -57,9 +63,11 @@ class TestBuildSchedule:
         repeated = scheduler.specrate_schedule(7)
         assert len(repeated) == 7
 
-    def test_specrate_policy_routes_to_baseline(self, scheduler):
-        pairs = scheduler.build_schedule(SPECratePolicy(), n_pairs=5)
-        assert all(a == b for a, b in pairs)
+    @pytest.mark.parametrize("policy", [RandomNPolicy(), IPCPackingPolicy()])
+    def test_whole_partition_policy_rejected(self, scheduler, policy):
+        """Policies that only propose partitions score no groups."""
+        with pytest.raises(SchedulingError, match="whole partitions"):
+            scheduler.run_policy(policy, n_pairs=5, seed=1)
 
     def test_exhaustion_raises(self, scheduler):
         with pytest.raises(SchedulingError):
