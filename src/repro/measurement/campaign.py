@@ -203,10 +203,11 @@ class MeasurementCampaign:
         The run's random stream is derived from the campaign's base seed
         and the spec alone — **never** from shared mutable state — which
         is the contract that makes parallel fan-out and cache replay
-        bit-identical to serial execution.
+        bit-identical to serial execution.  One run is a batch of one
+        (see :meth:`simulate_batch`) inside its ``run.simulate`` span.
         """
         with obs.span("run.simulate", run=spec.label, kind=spec.kind):
-            return self._simulate_impl(spec)
+            return self.simulate_batch([spec])[0]
 
     def _program_window(
         self, rng: np.random.Generator, index: int, name: str
@@ -261,32 +262,30 @@ class MeasurementCampaign:
             ),
         )
 
-    def _simulate_impl(self, spec: RunSpec) -> RunMeasurement:
+    def _draw_run(
+        self, spec: RunSpec
+    ) -> Tuple[List[ExecutionWindow], np.random.Generator]:
+        """One run's windows and chip seed, derived from ``(seed, spec)``."""
         rng = derive_generator(self._seed, spec.kind, *spec.workloads, spec.config)
         windows = self._sample_windows(spec, rng)
-        run = self._chip.run(windows, seed=derive_generator(rng, "chip"))
-        return self._measure_run(spec, run)
+        return windows, derive_generator(rng, "chip")
 
     def simulate_batch(self, specs: Sequence[RunSpec]) -> List[RunMeasurement]:
         """Simulate several runs through one batched chip/PDN solve.
 
-        Bit-identical to calling :meth:`simulate` once per spec: every
-        run's stream is derived from ``(seed, spec)`` exactly as in the
-        serial path, and the batched EMA/PDN filters are exact per row
-        (pinned by the batching equivalence tests).  This is the
-        uninstrumented fast path — it emits no per-run ``run.simulate``
-        spans — so the executor only routes runs here when observability
-        is disabled and no fault injector is attached.
+        Every run's stream is derived from ``(seed, spec)`` alone, and
+        the batched EMA/PDN filters are exact per row, so each returned
+        measurement is bit-identical to a batch of one
+        (:meth:`simulate`) — pinned by the batching equivalence tests.
+        An empty batch returns an empty list.
         """
-        rngs = [
-            derive_generator(self._seed, spec.kind, *spec.workloads, spec.config)
-            for spec in specs
-        ]
-        window_groups = [
-            self._sample_windows(spec, rng) for spec, rng in zip(specs, rngs)
-        ]
-        seeds = [derive_generator(rng, "chip") for rng in rngs]
-        runs = self._chip.run_batch(window_groups, seeds=seeds)
+        if not specs:
+            return []
+        drawn = [self._draw_run(spec) for spec in specs]
+        runs = self._chip.run_batch(
+            [windows for windows, _ in drawn],
+            seeds=[seed for _, seed in drawn],
+        )
         return [self._measure_run(spec, run) for spec, run in zip(specs, runs)]
 
     def run_spec(

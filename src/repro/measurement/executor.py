@@ -606,14 +606,16 @@ class CampaignExecutor:
     def _simulate_batched(
         self, specs: List[RunSpec], batch: ExecutorStats
     ) -> List[Tuple[RunSpec, RunMeasurement]]:
-        """Simulate serial cache misses through the batched chip solve.
+        """Simulate serial cache misses in chunks of the batched solve.
 
         Runs :data:`BATCH_CHUNK_RUNS`-sized chunks through
-        :meth:`MeasurementCampaign.simulate_batch` (bit-identical to
-        per-run simulation).  Only taken when observability is off and
-        no fault injector is attached — the per-run path owns the span
-        and chaos contracts.  A chunk that fails for any reason degrades
-        to the per-run serial path, which retries and propagates.
+        :meth:`MeasurementCampaign.simulate_batch`, the same solve a
+        single run takes as a batch of one.  Only taken when
+        observability is off and no fault injector is attached: the
+        per-spec route keeps one ``run.simulate`` span per run and
+        consults the fault hooks per attempt.  A chunk that fails for
+        any reason degrades to the per-spec serial route, which retries
+        and propagates.
         """
         results: List[Tuple[RunSpec, RunMeasurement]] = []
         for start in range(0, len(specs), BATCH_CHUNK_RUNS):

@@ -175,26 +175,13 @@ class TransientSimulator:
 
         The network starts at the DC operating point of the first current
         sample, so there is no artificial startup transient; pass a short
-        warm-up prefix if the stimulus itself begins abruptly.
+        warm-up prefix if the stimulus itself begins abruptly.  A single
+        trace is solved as a batch of one (see :meth:`simulate_batch`).
         """
         current = np.asarray(current_amps, dtype=float)
         if current.ndim != 1 or current.size == 0:
             raise SimulationError("current trace must be a non-empty 1-D array")
-        if np.any(~np.isfinite(current)):
-            raise SimulationError("current trace contains non-finite values")
-        with obs.span("pdn.simulate", samples=int(current.size)):
-            obs.increment("repro_pdn_samples_total", int(current.size))
-            zi = self._zi_unit * current[0]
-            response, _ = signal.sosfilt(self._sos, current, zi=zi)
-            voltage = self._network.nominal_voltage + response
-            if include_ripple and self._vrm is not None:
-                voltage = voltage + self._vrm.ripple(
-                    current.size,
-                    self._dt,
-                    self._network.nominal_voltage,
-                    seed=seed,
-                )
-        return VoltageTrace(voltage, self._dt, self._network.nominal_voltage)
+        return self._solve(current[None, :], [seed], include_ripple)[0]
 
     def simulate_batch(
         self,
@@ -208,25 +195,33 @@ class TransientSimulator:
         the per-row ripple seed.  The SOS filter is linear and each
         row's initial condition scales linearly with its first sample,
         so one ``sosfilt`` over the matrix returns every row
-        bit-identical to a separate :meth:`simulate` call — pinned by
-        the batched-filter property tests.  One ``pdn.simulate`` span
-        covers the whole batch (there are no per-row spans).
+        bit-identical to a batch of one — pinned by the batched-filter
+        property tests.  One ``pdn.simulate`` span covers the whole
+        batch.
         """
         currents = np.asarray(current_amps, dtype=float)
         if currents.ndim != 2 or currents.size == 0:
             raise SimulationError(
                 "current batch must be a non-empty 2-D array"
             )
+        if seeds is None:
+            seeds = [None] * currents.shape[0]
+        return self._solve(currents, seeds, include_ripple)
+
+    def _solve(
+        self,
+        currents: np.ndarray,
+        seeds: Sequence[SeedLike],
+        include_ripple: bool,
+    ) -> List[VoltageTrace]:
+        """The one PDN solve: each row of ``currents`` is one trace."""
         if np.any(~np.isfinite(currents)):
             raise SimulationError("current trace contains non-finite values")
         n_runs, n_samples = currents.shape
-        if seeds is None:
-            seeds = [None] * n_runs
         if len(seeds) != n_runs:
             raise SimulationError("one seed per current trace required")
-        with obs.span(
-            "pdn.simulate", samples=int(currents.size), batched=n_runs
-        ):
+        batched = {"batched": n_runs} if n_runs > 1 else {}
+        with obs.span("pdn.simulate", samples=int(currents.size), **batched):
             obs.increment("repro_pdn_samples_total", int(currents.size))
             # zi is linear in the DC operating point: scale the unit
             # initial condition by each row's first sample.

@@ -14,7 +14,7 @@ trace that all characterization and scheduling experiments consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,39 @@ class ChipRun:
         for execution in self.cores[1:]:
             merged = merged.merged_with(execution.counters)
         return merged
+
+
+def _idle_window(n_cycles: int) -> ExecutionWindow:
+    return ExecutionWindow(
+        baseline_activity=np.full(n_cycles, IDLE_CORE_ACTIVITY),
+        events=[],
+        base_ipc=0.3,
+        label="(idle)",
+    )
+
+
+def pad_windows(
+    windows: Sequence[Optional[ExecutionWindow]], n_cores: int
+) -> Tuple[List[ExecutionWindow], int]:
+    """Validate one run's windows and pad idle cores.
+
+    Returns one window per core (``None`` and missing entries become
+    the idle loop's activity) and the shared window length.
+    """
+    if len(windows) > n_cores:
+        raise SimulationError(f"{len(windows)} windows for {n_cores} cores")
+    concrete = [w for w in windows if w is not None]
+    if not concrete:
+        raise SimulationError("at least one core must run a workload")
+    n_cycles = concrete[0].n_cycles
+    if any(w.n_cycles != n_cycles for w in concrete):
+        raise SimulationError("all windows must have the same length")
+    slots = list(windows) + [None] * (n_cores - len(windows))
+    padded = [
+        window if window is not None else _idle_window(n_cycles)
+        for window in slots
+    ]
+    return padded, n_cycles
 
 
 class Chip:
@@ -175,35 +208,6 @@ class Chip:
             )
         return adjusted
 
-    def _idle_window(self, n_cycles: int) -> ExecutionWindow:
-        return ExecutionWindow(
-            baseline_activity=np.full(n_cycles, IDLE_CORE_ACTIVITY),
-            events=[],
-            base_ipc=0.3,
-            label="(idle)",
-        )
-
-    def _prepare(
-        self, windows: Sequence[Optional[ExecutionWindow]]
-    ) -> Tuple[list, int]:
-        """Validate one run's windows and pad idle cores."""
-        if len(windows) > self.n_cores:
-            raise SimulationError(
-                f"{len(windows)} windows for {self.n_cores} cores"
-            )
-        concrete = [w for w in windows if w is not None]
-        if not concrete:
-            raise SimulationError("at least one core must run a workload")
-        n_cycles = concrete[0].n_cycles
-        if any(w.n_cycles != n_cycles for w in concrete):
-            raise SimulationError("all windows must have the same length")
-
-        padded: list[ExecutionWindow] = []
-        for i in range(self.n_cores):
-            window = windows[i] if i < len(windows) else None
-            padded.append(window if window is not None else self._idle_window(n_cycles))
-        return padded, n_cycles
-
     def _coupled_activities(
         self, padded: Sequence[ExecutionWindow]
     ) -> np.ndarray:
@@ -223,88 +227,85 @@ class Chip:
 
         ``windows`` supplies one :class:`ExecutionWindow` per core
         (``None`` idles that core); fewer entries than cores idles the
-        rest.  All windows must be the same length.
+        rest.  All windows must be the same length.  One run is a batch
+        of one (see :meth:`run_batch`).
         """
-        padded, n_cycles = self._prepare(windows)
-        with obs.span(
-            "chip.run", config=self._config_name, cycles=int(n_cycles)
-        ):
-            obs.increment("repro_chip_runs_total")
-            obs.increment("repro_chip_cycles_total", int(n_cycles))
-            activities = self._coupled_activities(padded)
-            executions = tuple(
-                self._cores[0].finalize_batch(padded, activities)
-            )
-            total_current = self._uncore_amps + sum(
-                execution.current_amps for execution in executions
-            )
-            ripple_rng = derive_generator(seed, "vrm", self._config_name)
-            voltage = self._simulator.simulate(total_current, seed=ripple_rng)
-        return ChipRun(
-            voltage=voltage,
-            cores=executions,
-            total_current_amps=total_current,
-            config_name=self._config_name,
-        )
+        return self._run([windows], [seed])[0]
 
     def run_batch(
         self,
         window_groups: Sequence[Sequence[Optional[ExecutionWindow]]],
         seeds: Optional[Sequence[SeedLike]] = None,
-    ) -> list:
+    ) -> List[ChipRun]:
         """Run many multi-core window groups through one batched solve.
 
         The per-core slow-gating EMA of *every* run is computed by a
         single ``lfilter`` call over a stacked activity matrix, and all
         runs' total-current traces go through the PDN in one batched
         ``sosfilt`` (see ``TransientSimulator.simulate_batch``).  Each
-        returned :class:`ChipRun` is bit-identical to what :meth:`run`
-        produces for the same windows and seed — pinned by the batching
-        equivalence tests.  All runs must share one window length.
-
-        This is the uninstrumented fast path: it emits no per-run
-        tracing spans (metric counters are still incremented), so the
-        executor only routes runs here when observability is disabled.
+        returned :class:`ChipRun` is bit-identical to a batch of one
+        (:meth:`run`) for the same windows and seed — pinned by the
+        batching equivalence tests.  All runs must share one window
+        length.  One ``chip.run`` span covers the whole batch.
         """
         if seeds is None:
             seeds = [None] * len(window_groups)
+        return self._run(window_groups, seeds)
+
+    def _run(
+        self,
+        window_groups: Sequence[Sequence[Optional[ExecutionWindow]]],
+        seeds: Sequence[SeedLike],
+    ) -> List[ChipRun]:
+        """The one chip solve: pad, couple and filter every run at once."""
+        if not window_groups:
+            raise SimulationError("at least one window group required")
         if len(seeds) != len(window_groups):
             raise SimulationError("one seed per window group required")
-        prepared = [self._prepare(windows) for windows in window_groups]
-        if len({n_cycles for _, n_cycles in prepared}) > 1:
+        prepared = [
+            pad_windows(windows, self.n_cores) for windows in window_groups
+        ]
+        lengths = {n_cycles for _, n_cycles in prepared}
+        if len(lengths) > 1:
             raise SimulationError(
                 "all batched runs must have the same window length"
             )
-        coupled = [
-            self._coupled_activities(padded) for padded, _ in prepared
-        ]
-        # One EMA filter over every core of every run at once.
-        currents = self._cores[0].current_from_activity(np.vstack(coupled))
-        n_cores = self.n_cores
-        executions = [
-            tuple(self._cores[0].finalize_batch(
-                padded,
-                coupled[index],
-                currents=currents[index * n_cores:(index + 1) * n_cores],
-            ))
-            for index, (padded, _) in enumerate(prepared)
-        ]
-        totals = [
-            self._uncore_amps + sum(
-                execution.current_amps for execution in cores
+        (n_cycles,) = lengths
+        n_runs = len(prepared)
+        batched = {"batched": n_runs} if n_runs > 1 else {}
+        with obs.span(
+            "chip.run", config=self._config_name, cycles=int(n_cycles),
+            **batched,
+        ):
+            obs.increment("repro_chip_runs_total", n_runs)
+            obs.increment("repro_chip_cycles_total", n_runs * int(n_cycles))
+            coupled = [
+                self._coupled_activities(padded) for padded, _ in prepared
+            ]
+            # One EMA filter over every core of every run at once.
+            core = self._cores[0]
+            currents = core.current_from_activity(np.vstack(coupled))
+            n_cores = self.n_cores
+            executions = [
+                tuple(core.finalize_batch(
+                    padded,
+                    coupled[index],
+                    currents=currents[index * n_cores:(index + 1) * n_cores],
+                ))
+                for index, (padded, _) in enumerate(prepared)
+            ]
+            # numpy adds the cores of each run in index order, the
+            # summation order the golden fixtures were recorded with.
+            totals = self._uncore_amps + currents.reshape(
+                n_runs, n_cores, n_cycles
+            ).sum(axis=1)
+            ripple_rngs = [
+                derive_generator(seed, "vrm", self._config_name)
+                for seed in seeds
+            ]
+            voltages = self._simulator.simulate_batch(
+                totals, seeds=ripple_rngs
             )
-            for cores in executions
-        ]
-        ripple_rngs = [
-            derive_generator(seed, "vrm", self._config_name)
-            for seed in seeds
-        ]
-        voltages = self._simulator.simulate_batch(
-            np.stack(totals), seeds=ripple_rngs
-        )
-        for _, n_cycles in prepared:
-            obs.increment("repro_chip_runs_total")
-            obs.increment("repro_chip_cycles_total", int(n_cycles))
         return [
             ChipRun(
                 voltage=voltages[index],
@@ -312,5 +313,5 @@ class Chip:
                 total_current_amps=totals[index],
                 config_name=self._config_name,
             )
-            for index in range(len(prepared))
+            for index in range(n_runs)
         ]

@@ -137,33 +137,20 @@ class Core:
             )
         return params.leakage_amps + params.dynamic_max_amps * effective
 
-    def finalize(
-        self, window: ExecutionWindow, activity: np.ndarray
-    ) -> CoreExecution:
-        """Build the execution record from (possibly adjusted) activity.
-
-        The chip may adjust realized activity for shared-resource coupling
-        before currents and counters are derived.
-        """
-        return CoreExecution(
-            activity=activity,
-            current_amps=self.current_from_activity(activity),
-            counters=self._count(window, activity),
-            label=window.label,
-        )
-
     def finalize_batch(
         self,
         windows: Sequence[ExecutionWindow],
         activities: np.ndarray,
         currents: Optional[np.ndarray] = None,
     ) -> List[CoreExecution]:
-        """Finalize one window per row of an activity matrix.
+        """Build one execution record per row of an activity matrix.
 
-        One batched EMA filter derives every row's current at once
-        (unless precomputed ``currents`` rows are supplied); counters
-        are exact integer/sum reductions per row, so each returned
-        execution is bit-identical to :meth:`finalize` on that row.
+        The chip may adjust realized activity for shared-resource
+        coupling before currents and counters are derived.  One batched
+        EMA filter derives every row's current at once (unless
+        precomputed ``currents`` rows are supplied); counters are exact
+        integer/sum reductions per row, so each row equals a batch of
+        one.
         """
         activities = np.asarray(activities, dtype=float)
         if currents is None:
@@ -180,7 +167,8 @@ class Core:
 
     def execute(self, window: ExecutionWindow) -> CoreExecution:
         """Realize a window in isolation (no cross-core coupling)."""
-        return self.finalize(window, self.realize_activity(window))
+        activity = self.realize_activity(window)
+        return self.finalize_batch([window], activity[None, :])[0]
 
     def _count(
         self, window: ExecutionWindow, activity: np.ndarray

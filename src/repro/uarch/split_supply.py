@@ -23,11 +23,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.pdn import platform
 from repro.pdn.simulate import TransientSimulator, VoltageTrace
 from repro.random_utils import SeedLike, derive_generator
-from repro.uarch.chip import DEFAULT_UNCORE_AMPS, IDLE_CORE_ACTIVITY
+from repro.uarch.chip import DEFAULT_UNCORE_AMPS, pad_windows
 from repro.uarch.core import Core, CoreExecution, CoreParameters
 from repro.uarch.window import ExecutionWindow
 
@@ -122,27 +122,7 @@ class SplitSupplyChip:
         seed: SeedLike = None,
     ) -> SplitSupplyRun:
         """Run one window per core, each on its own rail."""
-        if len(windows) > self.n_cores:
-            raise SimulationError(
-                f"{len(windows)} windows for {self.n_cores} cores"
-            )
-        concrete = [w for w in windows if w is not None]
-        if not concrete:
-            raise SimulationError("at least one core must run a workload")
-        n_cycles = concrete[0].n_cycles
-        if any(w.n_cycles != n_cycles for w in concrete):
-            raise SimulationError("all windows must have the same length")
-
-        padded = [
-            windows[i] if i < len(windows) and windows[i] is not None
-            else ExecutionWindow(
-                baseline_activity=np.full(n_cycles, IDLE_CORE_ACTIVITY),
-                events=[],
-                base_ipc=0.3,
-                label="(idle)",
-            )
-            for i in range(self.n_cores)
-        ]
+        padded, _ = pad_windows(windows, self.n_cores)
         activities = np.stack([
             core.realize_activity(window)
             for core, window in zip(self._cores, padded)

@@ -1,14 +1,16 @@
-"""Batched fast path vs per-run simulation: bit-identity battery.
+"""N-run batches vs batches of one: bit-identity battery.
 
-The vectorized hot path introduces three batch primitives —
+Each simulation layer has one solve —
 :meth:`TransientSimulator.simulate_batch`, :meth:`Chip.run_batch` and
-:meth:`MeasurementCampaign.simulate_batch` — plus an executor seam that
-routes uninstrumented serial campaigns through them.  Their shared
-contract is *bit-identity*: stacking N runs into one filtered batch must
-produce exactly the floats the N separate runs produce, for any input.
-These tests pin that contract at every layer, including the property
-that a stacked ``sosfilt`` equals N independent calls, and the
-jobs-invariance of the executor seam (batched serial == process pool).
+:meth:`MeasurementCampaign.simulate_batch` — and its single-run entry
+point (``simulate``/``run``) is that solve on a batch of one.  The
+executor chunks uninstrumented serial campaigns through the batch
+entry points.  The shared contract is *bit-identity*: stacking N runs
+into one filtered batch must produce exactly the floats the N batches
+of one produce, for any input, so no row leaks into another.  These
+tests pin that contract at every layer, including the property that a
+stacked ``sosfilt`` equals N one-row solves, and the jobs-invariance of
+the executor seam (chunked serial == process pool).
 """
 
 import numpy as np

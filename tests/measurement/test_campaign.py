@@ -50,6 +50,9 @@ class TestMeasure:
         assert run.max_droop >= 0
         assert run.histogram.total == 12_000
 
+    def test_empty_batch_simulates_nothing(self, campaign):
+        assert campaign.simulate_batch([]) == []
+
 
 class TestSuites:
     def test_single_threaded_subset(self, campaign):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.errors import ConfigurationError, SimulationError
 from repro.uarch.chip import Chip
 from repro.uarch.window import ExecutionWindow
@@ -104,4 +105,21 @@ class TestRun:
         assert (
             depleted.voltage.peak_to_peak_fraction()
             > stock.voltage.peak_to_peak_fraction()
+        )
+
+
+class TestRunBatch:
+    def test_rejects_empty_batch(self, chip):
+        with pytest.raises(SimulationError):
+            chip.run_batch([])
+
+    def test_batch_is_one_traced_solve(self, chip):
+        groups = [
+            [idle_window(n=2000, seed=1), idle_window(n=2000, seed=2)],
+            [idle_window(n=2000, seed=3)],
+        ]
+        with obs.capture() as session:
+            chip.run_batch(groups)
+        assert session.tracer.structure() == (
+            ("chip.run", (("pdn.simulate", ()),)),
         )
