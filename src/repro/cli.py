@@ -164,7 +164,7 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         default=False,
         metavar="FILE",
         help=(
-            "print the per-stage timing table and hottest runs on exit; "
+            "print the per-stage timing table and hottest chunks on exit; "
             "with FILE, also write the schema-versioned stage profile as "
             "JSON"
         ),

@@ -104,6 +104,11 @@ class RunMeasurement:
         return DroopTailModel(self.droops)
 
 
+def batch_label(specs: Sequence[RunSpec]) -> str:
+    """``"<first label>..+<n-1>"``: the name of a batch of runs."""
+    return f"{specs[0].label}..+{len(specs) - 1}"
+
+
 class MeasurementCampaign:
     """Runs and caches workload measurements on one chip configuration.
 
@@ -204,10 +209,9 @@ class MeasurementCampaign:
         and the spec alone — **never** from shared mutable state — which
         is the contract that makes parallel fan-out and cache replay
         bit-identical to serial execution.  One run is a batch of one
-        (see :meth:`simulate_batch`) inside its ``run.simulate`` span.
+        (see :meth:`simulate_batch`).
         """
-        with obs.span("run.simulate", run=spec.label, kind=spec.kind):
-            return self.simulate_batch([spec])[0]
+        return self.simulate_batch([spec])[0]
 
     def _program_window(
         self, rng: np.random.Generator, index: int, name: str
@@ -277,16 +281,20 @@ class MeasurementCampaign:
         the batched EMA/PDN filters are exact per row, so each returned
         measurement is bit-identical to a batch of one
         (:meth:`simulate`) — pinned by the batching equivalence tests.
-        An empty batch returns an empty list.
+        The batch records one ``run.simulate`` span named by
+        :func:`batch_label`.  An empty batch returns an empty list.
         """
         if not specs:
             return []
-        drawn = [self._draw_run(spec) for spec in specs]
-        runs = self._chip.run_batch(
-            [windows for windows, _ in drawn],
-            seeds=[seed for _, seed in drawn],
-        )
-        return [self._measure_run(spec, run) for spec, run in zip(specs, runs)]
+        with obs.span("run.simulate", runs=len(specs), run=batch_label(specs)):
+            drawn = [self._draw_run(spec) for spec in specs]
+            runs = self._chip.run_batch(
+                [windows for windows, _ in drawn],
+                seeds=[seed for _, seed in drawn],
+            )
+            return [
+                self._measure_run(spec, run) for spec, run in zip(specs, runs)
+            ]
 
     def run_spec(
         self, *workload_names: str, kind: Optional[str] = None

@@ -6,11 +6,12 @@ its own spec* (see :meth:`MeasurementCampaign.simulate`), so no run
 depends on any other's execution.  :class:`CampaignExecutor` exploits
 that twice over:
 
-* **fan-out** — cache misses are dispatched to a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; because each worker
-  re-derives the identical per-run stream from ``(seed, spec)``, parallel
-  and serial execution produce *bit-identical* measurements (enforced by
-  the equivalence test battery);
+* **fan-out** — cache misses are solved in chunks of
+  :data:`BATCH_CHUNK_RUNS` consecutive runs, in process or as one
+  :class:`~concurrent.futures.ProcessPoolExecutor` future per chunk;
+  because each run re-derives the identical stream from ``(seed,
+  spec)``, parallel and serial execution produce *bit-identical*
+  measurements (enforced by the equivalence test battery);
 * **persistence** — every simulated run is written to a
   :class:`~repro.measurement.cache.ResultCache`, so later processes (and
   the full Fig. 7–19 + Tab. I pipeline) replay warm runs without
@@ -50,15 +51,16 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import observability as obs
 from repro.errors import ConfigurationError
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, InjectedFault
 from repro.measurement.cache import CacheStats, ResultCache, cache_key
 from repro.measurement.campaign import (
     HISTOGRAM_BINS,
@@ -67,6 +69,7 @@ from repro.measurement.campaign import (
     MeasurementCampaign,
     RunMeasurement,
     RunSpec,
+    batch_label,
 )
 from repro.measurement.record import decode_measurement
 from repro.pdn.decap import proc_config
@@ -84,10 +87,12 @@ RUN_TIMEOUT_ENV = "REPRO_RUN_TIMEOUT"
 #: Default bounded-retry budget per run (attempts = retries + 1).
 DEFAULT_MAX_RETRIES = 2
 
-#: Runs per batched chip/PDN solve on the serial fast path.  Chunking
-#: bounds the stacked current matrix (chunk * n_cores * n_cycles floats)
-#: while keeping the filter calls large enough to amortize their setup.
-BATCH_CHUNK_RUNS = 16
+#: Runs per batched chip/PDN solve.  Every cache miss is first solved in
+#: a chunk of this many consecutive specs, in process or as one pool
+#: future.  Chunking bounds the stacked current matrix (chunk * n_cores *
+#: n_cycles floats) while keeping the filter calls large enough to
+#: amortize their setup.
+BATCH_CHUNK_RUNS = 4
 
 #: First backoff step; doubles per retry, capped at the ceiling.  The
 #: sequence is a pure function of the attempt number — no jitter — so
@@ -117,9 +122,10 @@ class RetryPolicy:
     """How hard the executor fights for each run before degrading.
 
     ``max_retries`` bounds *faulting* attempts per run per stage (pool
-    and serial count separately); ``run_timeout`` bounds one attempt's
-    wall time in the pool (``None`` = wait forever — hung workers then
-    surface only through pool breakage); backoff between retries is
+    and serial count separately); ``run_timeout`` bounds one run
+    attempt's wall time in the pool, so a chunk's future waits
+    ``run_timeout * len(chunk)`` (``None`` = wait forever — hung workers
+    then surface only through pool breakage); backoff between retries is
     deterministic exponential: ``base * 2**(attempt-1)``, capped at
     :data:`MAX_BACKOFF_SECONDS`.
     """
@@ -188,8 +194,9 @@ class RunFailure:
     """One failed run attempt, and what the executor did about it.
 
     ``site`` names where the failure surfaced: ``"pool"`` (worker crash /
-    broken pool), ``"timeout"`` (attempt exceeded ``run_timeout``),
-    ``"worker"`` (exception raised inside a pool worker) or
+    broken pool), ``"timeout"`` (the chunk's future exceeded its
+    ``run_timeout`` budget), ``"worker"`` (exception or injected fault
+    inside a pool worker) or
     ``"simulate"`` (exception in a serial in-process attempt).
     ``action`` is the recovery taken: ``"retried"`` (same stage, next
     attempt), ``"requeued"`` (pool rebuilt, run redispatched) or
@@ -366,63 +373,89 @@ def _record_batch_telemetry(
     obs.increment("repro_run_failures_total", len(batch.failures))
 
 
+def _chunks(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
+    """Consecutive :data:`BATCH_CHUNK_RUNS`-run chunks of ``specs``."""
+    step = BATCH_CHUNK_RUNS
+    return [list(specs[i:i + step]) for i in range(0, len(specs), step)]
+
+
+def _inject_faults(
+    injector: Optional[FaultInjector],
+    label: str,
+    attempt: int,
+    in_worker: bool = False,
+) -> None:
+    """Consult one run attempt's hook points, in severity order
+    (``worker.crash``/``worker.hang`` only in a pool worker)."""
+    if injector is None:
+        return
+    if in_worker:
+        injector.crash_worker(label, attempt)
+        injector.hang_worker(label, attempt)
+    injector.raise_transient(label, attempt)
+    injector.bit_error(label, attempt)
+
+
+def _solve_chunk(
+    campaign: MeasurementCampaign,
+    specs: Sequence[RunSpec],
+    attempts: Sequence[int],
+    injector: Optional[FaultInjector],
+    in_worker: bool = False,
+) -> List[Union[RunMeasurement, str]]:
+    """Solve one chunk: per-run fault hooks, then one batched solve.
+
+    Each run's hooks see that run's attempt number, so whether it
+    faults never depends on its chunk.  A faulted run comes back as its
+    error description; the rest go through one
+    :meth:`MeasurementCampaign.simulate_batch`, whose exceptions
+    propagate.
+    """
+    faults: Dict[RunSpec, str] = {}
+    for spec, attempt in zip(specs, attempts):
+        try:
+            _inject_faults(injector, spec.label, attempt, in_worker)
+        except InjectedFault as error:
+            faults[spec] = _describe_error(error)
+    solved = iter(campaign.simulate_batch([s for s in specs if s not in faults]))
+    return [faults.get(spec) or next(solved) for spec in specs]
+
+
 def _simulate_record(
     config: str,
     n_cycles: int,
     seed: int,
-    spec_fields: Tuple[str, Tuple[str, ...], str],
+    chunk: Sequence[RunSpec],
+    attempts: Sequence[int],
     telemetry: bool = False,
     plan_spec: Optional[str] = None,
-    attempt: int = 0,
     n_cores: int = 2,
 ) -> Dict[str, Any]:
-    """Worker entry point: simulate one run, return its encoded record.
+    """Worker entry point: :func:`_solve_chunk` on a throwaway campaign.
 
     Must stay a module-level function (pickled by name into pool
-    workers).  Builds a throwaway serial campaign so the derived stream
-    is exactly what the parent's campaign would have used.
-
-    With ``telemetry=True`` the run executes under a fresh
-    worker-local observability session whose spans and metric samples
-    travel back alongside the record (``{"record": ..., "telemetry":
-    ...}``); the parent grafts them into its own session in spec order,
-    so a parallel campaign produces one merged, deterministic trace.
-
-    ``plan_spec``/``attempt`` carry the chaos contract into the worker:
-    the worker rebuilds the :class:`~repro.faults.FaultInjector` from
-    the plan string and consults the ``worker.crash``, ``worker.hang``
-    and ``simulate.exception`` hook points, keyed by this run's label
-    and attempt number — so whether this attempt faults is decided by
-    the plan alone, not by which worker process drew the task.
+    workers).  The throwaway serial campaign derives exactly the streams
+    the parent's would, and ``plan_spec`` rebuilds the chaos injector.
+    Returns per run its encoded record or fault description
+    (``"runs"``), plus, with ``telemetry=True``, the worker-local
+    session's spans and metric samples, which the parent grafts into
+    its own session in chunk order (``"telemetry"``).
     """
     from repro.measurement.record import encode_measurement
 
-    kind, workloads, spec_config = spec_fields
     campaign = MeasurementCampaign(
         config, n_cycles=n_cycles, seed=seed, n_cores=n_cores
     )
-    spec = RunSpec(kind=kind, workloads=tuple(workloads), config=spec_config)
     injector = FaultInjector(plan_spec) if plan_spec is not None else None
-    if not telemetry:
-        _inject_worker_faults(injector, spec.label, attempt)
-        return encode_measurement(campaign.simulate(spec))
-    with obs.capture() as session:
-        obs.increment("repro_worker_runs_total", worker=os.getpid())
-        _inject_worker_faults(injector, spec.label, attempt)
-        record = encode_measurement(campaign.simulate(spec))
-    return {"record": record, "telemetry": session.worker_payload()}
-
-
-def _inject_worker_faults(
-    injector: Optional[FaultInjector], label: str, attempt: int
-) -> None:
-    """Consult the worker-side hook points, in severity order."""
-    if injector is None:
-        return
-    injector.crash_worker(label, attempt)
-    injector.hang_worker(label, attempt)
-    injector.raise_transient(label, attempt)
-    injector.bit_error(label, attempt)
+    with obs.capture() if telemetry else nullcontext() as session:
+        outcomes = _solve_chunk(
+            campaign, chunk, attempts, injector, in_worker=True
+        )
+        runs = [o if isinstance(o, str) else encode_measurement(o) for o in outcomes]
+        solved = sum(not isinstance(run, str) for run in runs)
+        obs.increment("repro_worker_runs_total", solved, worker=os.getpid())
+    telemetry_payload = session.worker_payload() if session else None
+    return {"runs": runs, "telemetry": telemetry_payload}
 
 
 class CampaignExecutor:
@@ -592,255 +625,213 @@ class CampaignExecutor:
         batch.simulated += len(specs)
         if self._jobs > 1 and len(specs) > 1 and self._seed is not None:
             return self._simulate_parallel(specs, batch)
-        if (
-            len(specs) > 1
-            and self._injector is None
-            and not obs.enabled()
-        ):
-            return self._simulate_batched(specs, batch)
-        return [
-            (spec, self._simulate_serial(spec, batch)) for spec in specs
-        ]
-
-    # -- batched serial fast path ----------------------------------------
-    def _simulate_batched(
-        self, specs: List[RunSpec], batch: ExecutorStats
-    ) -> List[Tuple[RunSpec, RunMeasurement]]:
-        """Simulate serial cache misses in chunks of the batched solve.
-
-        Runs :data:`BATCH_CHUNK_RUNS`-sized chunks through
-        :meth:`MeasurementCampaign.simulate_batch`, the same solve a
-        single run takes as a batch of one.  Only taken when
-        observability is off and no fault injector is attached: the
-        per-spec route keeps one ``run.simulate`` span per run and
-        consults the fault hooks per attempt.  A chunk that fails for
-        any reason degrades to the per-spec serial route, which retries
-        and propagates.
-        """
         results: List[Tuple[RunSpec, RunMeasurement]] = []
-        for start in range(0, len(specs), BATCH_CHUNK_RUNS):
-            chunk = specs[start:start + BATCH_CHUNK_RUNS]
-            batch.attempts += len(chunk)
-            try:
-                measurements = self._campaign.simulate_batch(chunk)
-            except Exception as error:  # simlint: disable=HYG003
-                batch.retries += 1
-                batch.failures.append(
-                    RunFailure(
-                        run=f"batch[{chunk[0].label}..+{len(chunk) - 1}]",
-                        site="simulate",
-                        error=_describe_error(error),
-                        attempt=1,
-                        action="serial-fallback",
-                    )
-                )
-                batch.serial_fallbacks += 1
-                results.extend(
-                    (spec, self._simulate_serial(spec, batch))
-                    for spec in chunk
-                )
-                continue
-            results.extend(zip(chunk, measurements))
+        for chunk in _chunks(specs):
+            results.extend(self._simulate_chunk(chunk, batch))
         return results
 
-    # -- serial path (and parallel fallback) ----------------------------
+    # -- in-process path -------------------------------------------------
+    def _simulate_chunk(
+        self, chunk: List[RunSpec], batch: ExecutorStats
+    ) -> List[Tuple[RunSpec, RunMeasurement]]:
+        """Solve one chunk in process with :func:`_solve_chunk`.
+
+        A faulted run is booked as a failed serial attempt and retried
+        from attempt 1; a chunk whose solve raises is booked as one
+        ``batch[...]`` failure and re-simulated run by run.
+        """
+        batch.attempts += len(chunk)
+        try:
+            outcomes = _solve_chunk(
+                self._campaign, chunk, [0] * len(chunk), self._injector
+            )
+        except Exception as error:  # simlint: disable=HYG003
+            batch.retries += 1
+            batch.serial_fallbacks += 1
+            batch.failures.append(RunFailure(
+                f"batch[{batch_label(chunk)}]", "simulate",
+                _describe_error(error), 1, "serial-fallback",
+            ))
+            return [
+                (spec, self._simulate_serial(spec, batch)) for spec in chunk
+            ]
+        results: List[Tuple[RunSpec, RunMeasurement]] = []
+        for spec, outcome in zip(chunk, outcomes):
+            if isinstance(outcome, str):
+                self._book_retry(batch, spec.label, outcome, 0)
+                outcome = self._simulate_serial(spec, batch, first_attempt=1)
+            results.append((spec, outcome))
+        return results
+
     def _simulate_serial(
-        self, spec: RunSpec, batch: ExecutorStats
+        self, spec: RunSpec, batch: ExecutorStats, first_attempt: int = 0
     ) -> RunMeasurement:
         """Simulate in-process with bounded retries and backoff.
 
-        Attempts ``0..max_retries`` run under fault injection (and
-        absorb *any* exception, injected or real); the final attempt
-        runs clean and uncaught, so persistent real errors still
-        propagate while injected chaos always converges to the
+        Attempts ``first_attempt..max_retries`` run under fault
+        injection (and absorb *any* exception, injected or real); the
+        final attempt runs clean and uncaught, so persistent real errors
+        still propagate while injected chaos always converges to the
         fault-free result.
         """
         label = spec.label
-        for attempt in range(self._retry.max_retries + 1):
+        for attempt in range(first_attempt, self._retry.max_retries + 1):
             batch.attempts += 1
             try:
-                if self._injector is not None:
-                    self._injector.raise_transient(label, attempt)
-                    self._injector.bit_error(label, attempt)
-                if attempt == 0:
-                    return self._campaign.simulate(spec)
-                with obs.span("run.retry", run=label, attempt=attempt):
+                _inject_faults(self._injector, label, attempt)
+                with (
+                    obs.span("run.retry", run=label, attempt=attempt)
+                    if attempt else nullcontext()
+                ):
                     return self._campaign.simulate(spec)
             except Exception as error:  # simlint: disable=HYG003
-                batch.retries += 1
-                batch.failures.append(
-                    RunFailure(
-                        run=label,
-                        site="simulate",
-                        error=_describe_error(error),
-                        attempt=attempt + 1,
-                        action="retried",
-                    )
-                )
-                time.sleep(self._retry.backoff_seconds(attempt + 1))
+                self._book_retry(batch, label, _describe_error(error), attempt)
         batch.attempts += 1
         with obs.span("run.retry", run=label, attempt="final"):
             return self._campaign.simulate(spec)
+
+    def _book_retry(
+        self, batch: ExecutorStats, label: str, error: str, attempt: int
+    ) -> None:
+        """Book failed serial ``attempt`` and back off before the next."""
+        batch.retries += 1
+        batch.failures.append(
+            RunFailure(label, "simulate", error, attempt + 1, "retried")
+        )
+        time.sleep(self._retry.backoff_seconds(attempt + 1))
 
     # -- parallel path ---------------------------------------------------
     def _simulate_parallel(
         self, specs: List[RunSpec], batch: ExecutorStats
     ) -> List[Tuple[RunSpec, RunMeasurement]]:
-        """Fan specs over a process pool, surviving crashes and hangs.
+        """Fan chunks over a process pool, surviving crashes and hangs.
 
-        Each round submits every pending spec; a broken pool or a timed
-        out attempt abandons the round, tears the pool down, and
+        Each round submits one future per chunk of the pending runs.  A
+        run faulted in its worker is requeued alone; a broken pool or a
+        timed-out future abandons the round, tears the pool down, and
         requeues exactly the runs that have no result yet.  A run that
         exhausts its pool attempts is handed to the serial path, whose
-        final attempt is injection-free — so this method always returns
-        a complete, bit-identical result set.
+        final attempt is injection-free.
         """
         assert self._seed is not None
         batch.parallel_batches += 1
-        config = self._campaign.config
-        n_cycles = self._campaign.n_cycles
-        telemetry = obs.enabled()
         plan_spec = (
             self._injector.plan.spec if self._injector is not None else None
         )
-        max_attempts = self._retry.max_retries + 1
         attempts: Dict[RunSpec, int] = {spec: 0 for spec in specs}
-        payloads: Dict[RunSpec, Any] = {}
-        fallback: List[RunSpec] = []
+        records: Dict[RunSpec, Dict[str, Any]] = {}
         pending: List[RunSpec] = list(specs)
         pool: Optional[ProcessPoolExecutor] = None
         rounds = 0
         try:
             while pending:
                 rounds += 1
+                chunks = _chunks(pending)
                 if pool is None:
                     pool = ProcessPoolExecutor(
-                        max_workers=min(self._jobs, len(pending))
+                        max_workers=min(self._jobs, len(chunks))
                     )
-                futures = {}
-                requeue: List[RunSpec] = []
+                futures = []
+                requeue: Set[RunSpec] = set()
                 abandoned = False
-                for spec in pending:
+                for chunk in chunks:
                     try:
-                        futures[spec] = pool.submit(
+                        futures.append((chunk, pool.submit(
                             _simulate_record,
-                            config,
-                            n_cycles,
+                            self._campaign.config,
+                            self._campaign.n_cycles,
                             self._seed,
-                            (spec.kind, spec.workloads, spec.config),
-                            telemetry,
+                            chunk,
+                            [attempts[spec] for spec in chunk],
+                            obs.enabled(),
                             plan_spec,
-                            attempts[spec],
                             self._campaign.chip.n_cores,
-                        )
+                        )))
+                        batch.attempts += len(chunk)
                     except BrokenProcessPool as error:
                         # The pool died while we were still submitting;
                         # everything not yet submitted joins the requeue.
                         abandoned = True
-                        self._parallel_failure(
-                            batch, spec, "pool", _describe_error(error),
-                            attempts, max_attempts, requeue, fallback,
-                        )
-                batch.attempts += len(futures)
-                for spec in pending:
-                    future = futures.get(spec)
-                    if future is None:
-                        continue
-                    if abandoned and not future.done():
-                        # Casualty of this round's crash/hang: no result,
-                        # but nothing to wait for either — requeue it.
-                        self._parallel_failure(
-                            batch, spec, "pool",
-                            "round abandoned (pool torn down)",
-                            attempts, max_attempts, requeue, fallback,
-                        )
-                        continue
-                    try:
-                        payloads[spec] = future.result(
-                            timeout=(
-                                None if abandoned
-                                else self._retry.run_timeout
-                            )
-                        )
-                    except FuturesTimeoutError:
-                        batch.timeouts += 1
-                        abandoned = True
-                        self._parallel_failure(
-                            batch, spec, "timeout",
-                            f"no result within {self._retry.run_timeout}s",
-                            attempts, max_attempts, requeue, fallback,
-                        )
-                    except BrokenProcessPool as error:
-                        abandoned = True
-                        self._parallel_failure(
-                            batch, spec, "pool", _describe_error(error),
-                            attempts, max_attempts, requeue, fallback,
-                        )
-                    except Exception as error:  # simlint: disable=HYG003
-                        self._parallel_failure(
-                            batch, spec, "worker", _describe_error(error),
-                            attempts, max_attempts, requeue, fallback,
-                        )
+                        outcomes = [_describe_error(error)] * len(chunk)
+                        self._route(batch, chunk, "pool", outcomes,
+                                    attempts, requeue, records)
+                for chunk, future in futures:
+                    site, outcomes, abandoned = self._collect(
+                        batch, chunk, future, abandoned
+                    )
+                    self._route(batch, chunk, site, outcomes,
+                                attempts, requeue, records)
                 if abandoned:
                     batch.pool_rebuilds += 1
                     with obs.span("pool.rebuild", round=rounds):
                         pool.shutdown(wait=False, cancel_futures=True)
                         pool = None
                     time.sleep(self._retry.backoff_seconds(rounds))
-                pending = requeue
+                pending = [spec for spec in pending if spec in requeue]
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
-        session = obs.active_session()
         results: List[Tuple[RunSpec, RunMeasurement]] = []
         for spec in specs:
-            payload = payloads.get(spec)
-            if payload is None:
+            record = records.get(spec)
+            if record is None:
                 with obs.span("run.fallback", run=spec.label):
                     results.append(
                         (spec, self._simulate_serial(spec, batch))
                     )
-                continue
-            if telemetry:
-                record = dict(payload["record"])
-                if session is not None:
-                    session.absorb_worker(payload["telemetry"])
             else:
-                record = payload
-            results.append((spec, decode_measurement(record)))
+                results.append((spec, decode_measurement(record)))
         return results
 
-    def _parallel_failure(
-        self,
-        batch: ExecutorStats,
-        spec: RunSpec,
-        site: str,
-        error: str,
-        attempts: Dict[RunSpec, int],
-        max_attempts: int,
-        requeue: List[RunSpec],
-        fallback: List[RunSpec],
+    def _collect(
+        self, batch: ExecutorStats, chunk: List[RunSpec],
+        future: Future[Dict[str, Any]], abandoned: bool,
+    ) -> Tuple[str, List[Any], bool]:
+        """One chunk future's failure site, per-run outcomes (encoded
+        record or error) and whether the round is now abandoned."""
+        if abandoned and not future.done():
+            # Casualty of this round's crash/hang: no result, but
+            # nothing to wait for either — requeue its runs.
+            return "pool", ["round abandoned (pool torn down)"] * len(chunk), True
+        timeout = self._retry.run_timeout
+        budget = None if abandoned or timeout is None else timeout * len(chunk)
+        try:
+            payload = future.result(timeout=budget)
+        except FuturesTimeoutError:
+            batch.timeouts += 1
+            return "timeout", [f"no result within {budget:g}s"] * len(chunk), True
+        except BrokenProcessPool as error:
+            return "pool", [_describe_error(error)] * len(chunk), True
+        except Exception as error:  # simlint: disable=HYG003
+            return "worker", [_describe_error(error)] * len(chunk), abandoned
+        session = obs.active_session()
+        if session is not None:
+            session.absorb_worker(payload["telemetry"])
+        return "worker", payload["runs"], abandoned
+
+    def _route(
+        self, batch: ExecutorStats, chunk: List[RunSpec], site: str,
+        outcomes: List[Any], attempts: Dict[RunSpec, int],
+        requeue: Set[RunSpec], records: Dict[RunSpec, Dict[str, Any]],
     ) -> None:
-        """Book one failed pool attempt and route the spec onward."""
-        attempts[spec] += 1
-        exhausted = attempts[spec] >= max_attempts
-        action = "serial-fallback" if exhausted else "requeued"
-        batch.failures.append(
-            RunFailure(
-                run=spec.label,
-                site=site,
-                error=error,
-                attempt=attempts[spec],
-                action=action,
+        """Keep each run's record, or book its failed pool attempt and
+        requeue it (left to the serial fallback once exhausted)."""
+        for spec, outcome in zip(chunk, outcomes):
+            if not isinstance(outcome, str):
+                records[spec] = outcome
+                continue
+            attempts[spec] += 1
+            exhausted = attempts[spec] > self._retry.max_retries
+            action = "serial-fallback" if exhausted else "requeued"
+            batch.failures.append(
+                RunFailure(spec.label, site, outcome, attempts[spec], action)
             )
-        )
-        if exhausted:
-            batch.serial_fallbacks += 1
-            fallback.append(spec)
-        else:
-            batch.retries += 1
-            batch.requeued += 1
-            requeue.append(spec)
+            if exhausted:
+                batch.serial_fallbacks += 1
+            else:
+                batch.retries += 1
+                batch.requeued += 1
+                requeue.add(spec)
 
 
 def _describe_error(error: BaseException) -> str:

@@ -7,13 +7,13 @@ coupled facilities, all off by default:
 * **tracing** — hierarchical wall-time spans
   (``campaign.batch`` → ``run.simulate`` → ``chip.run`` →
   ``pdn.simulate``) whose structure is deterministic; parallel workers'
-  spans are merged into one tree in spec order;
+  spans are merged into one tree in chunk order;
 * **metrics** — a closed catalog of counters/gauges/histograms (cycles
   simulated, droop/overshoot events by depth bucket, cache traffic,
   per-worker run counts, expected rollback recoveries) with JSON and
   Prometheus-text exporters, split into deterministic *content* and
   execution-specific *runtime* sections;
-* **profiling** — per-stage timing tables and top-N hottest runs,
+* **profiling** — per-stage timing tables and top-N hottest chunks,
   derived from the trace.
 
 Entry points: ``repro-experiments ... --trace t.json --metrics m.json

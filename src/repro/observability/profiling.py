@@ -100,7 +100,7 @@ def _span_label(record: SpanRecord) -> str:
 def hottest_spans(
     tracer: Tracer, name: str = "run.simulate", limit: int = 10
 ) -> List[HotSpan]:
-    """The ``limit`` slowest spans named ``name`` (top-N hottest specs)."""
+    """The ``limit`` slowest spans named ``name`` (default: hottest chunks)."""
     matches = [r for r in tracer.walk() if r.name == name]
     matches.sort(key=lambda r: (-r.duration_seconds, _span_label(r)))
     return [

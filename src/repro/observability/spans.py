@@ -1,10 +1,11 @@
 """Hierarchical tracing spans.
 
 A span is one timed region of work with a name, optional metadata, and
-child spans — ``campaign.batch`` contains one ``run.simulate`` per cache
-miss, which contains ``chip.run``, which contains ``pdn.simulate``.  The
-tree mirrors the call structure of the pipeline, so a trace answers
-"where did the wall time go" without a sampling profiler.
+child spans — ``campaign.batch`` contains one ``run.simulate`` per chunk
+of cache misses, which contains ``chip.run``, which contains
+``pdn.simulate``.  The tree mirrors the call structure of the pipeline,
+so a trace answers "where did the wall time go" without a sampling
+profiler.
 
 Two invariants shape the implementation:
 

@@ -4,19 +4,26 @@ Each simulation layer has one solve —
 :meth:`TransientSimulator.simulate_batch`, :meth:`Chip.run_batch` and
 :meth:`MeasurementCampaign.simulate_batch` — and its single-run entry
 point (``simulate``/``run``) is that solve on a batch of one.  The
-executor chunks uninstrumented serial campaigns through the batch
-entry points.  The shared contract is *bit-identity*: stacking N runs
-into one filtered batch must produce exactly the floats the N batches
-of one produce, for any input, so no row leaks into another.  These
-tests pin that contract at every layer, including the property that a
-stacked ``sosfilt`` equals N one-row solves, and the jobs-invariance of
-the executor seam (chunked serial == process pool).
+executor solves every cache miss in a chunk through the batch entry
+points, in process or in a pool worker.  The shared contract is
+*bit-identity*: stacking N runs into one filtered batch must produce
+exactly the floats the N batches of one produce, for any input, so no
+row leaks into another.  These tests pin that contract at every layer,
+including the property that a stacked ``sosfilt`` equals N one-row
+solves, and the jobs-invariance of the executor seam (in process ==
+process pool, traced or not, clean or under injected faults).
 """
 
+from contextlib import nullcontext
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import observability as obs
+from repro.faults import FaultInjector
 from repro.measurement.campaign import MeasurementCampaign
+from repro.measurement.executor import BATCH_CHUNK_RUNS
 from repro.measurement.record import diff_measurements
 from repro.pdn.platform import build_simulator
 from repro.uarch.chip import Chip
@@ -155,11 +162,19 @@ class TestJobsInvariance:
             serial.measure_specs(specs_a), pooled.measure_specs(specs_b)
         )
 
-    def test_chunk_boundary_is_invisible(self):
-        # More specs than one BATCH_CHUNK_RUNS chunk: the chunked fast
-        # path must agree with fresh per-run simulation across the seam.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("plan", [None, "default"], ids=["clean", "chaos"])
+    def test_chunk_boundary_is_invisible(self, jobs, traced, plan):
+        # More specs than one BATCH_CHUNK_RUNS chunk: every route (in
+        # process or pooled, traced or not, clean or under the default
+        # chaos plan) must agree with fresh per-run simulation across
+        # the chunk seams.
         names = ("mcf", "lbm", "namd", "povray", "milc")
-        chunked = MeasurementCampaign("Proc3", n_cycles=2000, seed=11, jobs=1)
+        injector = FaultInjector(plan) if plan is not None else None
+        chunked = MeasurementCampaign(
+            "Proc3", n_cycles=2000, seed=11, jobs=jobs, injector=injector
+        )
         reference = MeasurementCampaign(
             "Proc3", n_cycles=2000, seed=11, jobs=1
         )
@@ -168,8 +183,9 @@ class TestJobsInvariance:
             for a in names
             for b in names
         ]
-        assert len(specs) > 16
+        assert len(specs) > BATCH_CHUNK_RUNS
+        with obs.capture() if traced else nullcontext():
+            measured = chunked.measure_specs(specs)
         _assert_identical(
-            chunked.measure_specs(specs),
-            [reference.simulate(spec) for spec in specs],
+            measured, [reference.simulate(spec) for spec in specs]
         )

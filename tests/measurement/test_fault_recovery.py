@@ -15,6 +15,7 @@ from repro.faults import FaultInjector
 from repro.measurement.cache import ResultCache
 from repro.measurement.campaign import MeasurementCampaign
 from repro.measurement.executor import (
+    BATCH_CHUNK_RUNS,
     MAX_BACKOFF_SECONDS,
     MAX_RETRIES_ENV,
     RUN_TIMEOUT_ENV,
@@ -202,6 +203,36 @@ class TestParallelRecovery:
         stats = campaign.executor.stats
         assert stats.pool_rebuilds == 0
         assert any(f.site == "worker" for f in stats.failures)
+
+
+class TestFaultsInsideAChunk:
+    """A fault fired for one run of a chunk costs that run alone."""
+
+    #: Fires ``simulate.exception`` for lbm (the middle run of the one
+    #: chunk) at attempt 0 only; the test re-checks that premise.
+    PLAN = "exception:0.3,seed=0"
+
+    @pytest.mark.parametrize("jobs,site", [(1, "simulate"), (2, "worker")])
+    def test_one_faulted_run_is_retried_alone(self, clean, jobs, site):
+        probe = FaultInjector(self.PLAN)
+        labels = [f"{name}@Proc100" for name in SUBSET]
+        fired = [
+            label for label in labels
+            if probe.fires("simulate.exception", label, 0)
+        ]
+        assert fired == ["lbm@Proc100"]
+        assert not probe.fires("simulate.exception", "lbm@Proc100", 1)
+        assert len(SUBSET) <= BATCH_CHUNK_RUNS
+
+        campaign = _campaign(injector=FaultInjector(self.PLAN), jobs=jobs)
+        recovered = _measure(campaign)
+        _assert_identical(clean, recovered)
+        stats = campaign.executor.stats
+        assert [(f.run, f.site, f.attempt) for f in stats.failures] == [
+            ("lbm@Proc100", site, 1)
+        ]
+        assert stats.attempts == len(SUBSET) + 1
+        assert stats.simulated == len(SUBSET)
 
 
 class TestCacheCorruptionRecovery:

@@ -12,6 +12,8 @@ import pytest
 
 from repro import observability as obs
 from repro.measurement import MeasurementCampaign
+from repro.measurement.executor import BATCH_CHUNK_RUNS
+from repro.workloads.spec import SPEC_CPU2006
 
 SUBSET = ("mcf", "lbm")
 WINDOW_CYCLES = 4_000
@@ -112,6 +114,35 @@ class TestTraceDeterminism:
         assert payload["span_count"] == sum(
             count(root) for root in payload["roots"]
         )
+
+
+def chunk_trace(jobs: int) -> obs.ObservabilitySession:
+    """A cold campaign one run longer than a chunk, under a session."""
+    with obs.capture() as session:
+        campaign = MeasurementCampaign(
+            "Proc3", n_cycles=2_000, seed=SEED, jobs=jobs
+        )
+        names = sorted(SPEC_CPU2006)[:BATCH_CHUNK_RUNS + 1]
+        campaign.measure_specs([campaign.run_spec(n) for n in names])
+    return session
+
+
+class TestChunkTrace:
+    """One ``run.simulate`` span per chunk, on every route."""
+
+    def test_one_run_simulate_span_per_chunk(self):
+        serial, pooled = chunk_trace(jobs=1), chunk_trace(jobs=2)
+        solve = ("run.simulate", (("chip.run", (("pdn.simulate", ()),)),))
+        assert serial.tracer.structure() == (
+            ("campaign.batch", (solve, solve)),
+        )
+        assert pooled.tracer.structure() == serial.tracer.structure()
+        for session in (serial, pooled):
+            runs = [
+                span.metadata["runs"] for span in session.tracer.walk()
+                if span.name == "run.simulate"
+            ]
+            assert runs == [BATCH_CHUNK_RUNS, 1]
 
 
 class TestZeroOverheadDisabled:
