@@ -5,9 +5,15 @@ the harness *contract*: each module runs in quick mode, returns a
 populated :class:`ExperimentResult` with the documented series keys, and
 formats cleanly.  Campaigns are shared through the experiments' own
 context cache, so the whole file stays fast.
+
+The experiments named in ``golden/regenerate.py`` are also compared
+exactly against their JSON fixtures in ``golden/``.
 """
 
 import importlib
+import importlib.util
+import json
+import pathlib
 
 import pytest
 
@@ -39,7 +45,22 @@ MODULES = {
     "fig18_policy_scatter": ("Fig. 18", {"points", "random_points",
                                          "random_mean"}),
     "fig19_pass_increase": ("Fig. 19", {"passing", "recovery_costs"}),
+    "ext_throttle": ("Ext. C", {"raw_events", "open_events", "closed_events",
+                                "open_loss", "closed_loss"}),
 }
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _load_regenerator():
+    path = GOLDEN_DIR / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("experiment_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN = _load_regenerator()
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +107,18 @@ def test_every_paper_figure_has_a_harness():
         "Fig. 19",
     }
     assert required <= covered
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN.GOLDEN_SERIES))
+def test_experiment_matches_golden(results, name):
+    """Exact pin: the table and every float of the pinned series, to the
+    last bit.  If a change is intentional, regenerate with
+    ``PYTHONPATH=src python tests/experiments/golden/regenerate.py``."""
+    path = GOLDEN_DIR / f"{name}.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    measured = GOLDEN.snapshot(name, results[name])
+    assert measured["table"] == expected["table"]
+    for key, values in expected["series"].items():
+        assert measured["series"][key] == values, (
+            f"{name} series {key!r} drifted from {path.name}"
+        )
