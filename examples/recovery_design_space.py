@@ -70,16 +70,16 @@ def main() -> None:
     ripple = DEFAULT_PARAMETERS.vrm.ripple(
         n, CLOCK_PERIOD_S, chip.nominal_voltage, seed=3
     )
-    raw = VoltageGuidedThrottle(
-        chip, arm_margin=0.5, slew_per_cycle=1.0, hold_cycles=1
-    ).run(activity, other, ripple=ripple)
+    raw = chip.simulator.simulate(
+        core.current_from_activity(activity) + other, include_ripple=False
+    ).samples + ripple
     guided = VoltageGuidedThrottle(chip).run(activity, other, ripple=ripple)
 
     def rate(voltage):
         trace = VoltageTrace(voltage, CLOCK_PERIOD_S, chip.nominal_voltage)
         return detect_droops(trace).event_rate(CHARACTERIZATION_MARGIN)
 
-    print(f"  emergency rate: {rate(raw.voltage):.2e} -> "
+    print(f"  emergency rate: {rate(raw):.2e} -> "
           f"{rate(guided.voltage):.2e} per cycle")
     print(f"  throughput cost: "
           f"{guided.throughput_loss_fraction(activity):.1%}, "

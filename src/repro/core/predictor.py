@@ -88,24 +88,10 @@ class ThrottleOutcome:
 
 
 @dataclass(frozen=True)
-class GuidedThrottleOutcome:
+class GuidedThrottleOutcome(ThrottleOutcome):
     """Result of a closed-loop (voltage-guided) throttling run."""
 
-    activity: np.ndarray
     voltage: np.ndarray
-    engaged: np.ndarray
-    deferred_work: float
-
-    @property
-    def engaged_fraction(self) -> float:
-        return float(self.engaged.mean())
-
-    def throughput_loss_fraction(self, original: np.ndarray) -> float:
-        total = float(np.minimum(original, 1.0).sum())
-        if total <= 0:
-            return 0.0
-        throttled = float(np.minimum(self.activity, 1.0).sum())
-        return max(0.0, (total - throttled) / total)
 
 
 class VoltageGuidedThrottle:
@@ -175,8 +161,6 @@ class VoltageGuidedThrottle:
         core + uncore); ``ripple`` optionally adds the VRM sawtooth so the
         trigger sees realistic waveforms.
         """
-        from repro.uarch.core import Core
-
         activity = np.asarray(activity, dtype=float)
         other_current = np.asarray(other_current, dtype=float)
         if activity.shape != other_current.shape or activity.ndim != 1:
@@ -190,8 +174,7 @@ class VoltageGuidedThrottle:
         simulator = self._chip.simulator
         sos, zi_unit = simulator.discrete_sections()
         nominal = simulator.network.nominal_voltage
-        core = Core()
-        params = core.parameters
+        params = self._chip.core_parameters
         alpha = 1.0 - np.exp(-1.0 / params.gating_tau_cycles)
         w_fast = params.fast_fraction
 
@@ -201,9 +184,6 @@ class VoltageGuidedThrottle:
         deferred = 0.0
 
         slow_state = activity[0]
-        current0 = params.leakage_amps + params.dynamic_max_amps * activity[0]
-        total0 = current0 + other_current[0]
-        state = zi_unit * total0
         armed_until = -1
         arm_level = -self._arm_margin * nominal
 
@@ -227,6 +207,10 @@ class VoltageGuidedThrottle:
             effective = w_fast * out[t] + (1 - w_fast) * slow_state
             current = params.leakage_amps + params.dynamic_max_amps * effective
             x = current + other_current[t]
+            if t == 0:
+                # The network starts at the DC operating point of the
+                # first cycle's total current, as the PDN solver does.
+                state = zi_unit * x
             # One step of the SOS filter (direct form II transposed).
             for s in range(sos.shape[0]):
                 b0, b1, b2, _, a1, a2 = sos[s]

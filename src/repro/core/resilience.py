@@ -25,7 +25,7 @@ target (Tab. I, Fig. 19).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,22 +74,27 @@ class ResilienceParameters:
 def performance_improvement(
     margin: float,
     recovery_cost: float,
-    emergency_rate_per_cycle: float,
+    emergency_rate_per_cycle: float | np.ndarray,
     parameters: ResilienceParameters = ResilienceParameters(),
-) -> float:
+) -> float | np.ndarray:
     """Net speedup (fraction) of a resilient design over worst-case.
 
     Emergencies add ``rate * cost`` recovery cycles per useful cycle; the
     aggressive margin multiplies clock frequency.  Values below 0 are the
     paper's "dead zone": worse than the conservative baseline.
+
+    ``emergency_rate_per_cycle`` may be a scalar (a float is returned) or
+    a vector of per-run rates (an array of per-run improvements is
+    returned, each element equal to the scalar call for that rate).
     """
     if recovery_cost < 0:
         raise ConfigurationError("recovery_cost must be non-negative")
-    if emergency_rate_per_cycle < 0:
+    rates = np.asarray(emergency_rate_per_cycle, dtype=float)
+    if np.any(rates < 0):
         raise ConfigurationError("emergency_rate must be non-negative")
     gain = parameters.frequency_gain(margin)
-    overhead = emergency_rate_per_cycle * recovery_cost
-    return gain / (1.0 + overhead) - 1.0
+    improvement = gain / (1.0 + rates * recovery_cost) - 1.0
+    return float(improvement) if improvement.ndim == 0 else improvement
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,9 @@ class ResilientDesignModel:
         if not self._tails:
             raise ConfigurationError("need at least one tail model")
         self._parameters = parameters
+        #: margin -> per-run emergency rates; a rate depends only on the
+        #: run and the margin, so every recovery cost reuses one vector.
+        self._rates_by_margin: Dict[float, np.ndarray] = {}
 
     @property
     def parameters(self) -> ResilienceParameters:
@@ -132,16 +140,30 @@ class ResilientDesignModel:
         return len(self._tails)
 
     # ------------------------------------------------------------------
+    # Per-run vectors
+    # ------------------------------------------------------------------
+    def _rates(self, margin: float) -> np.ndarray:
+        """Every run's emergency rate at one margin (memoized)."""
+        margin = float(margin)
+        rates = self._rates_by_margin.get(margin)
+        if rates is None:
+            rates = np.array([tail.rate(margin) for tail in self._tails])
+            self._rates_by_margin[margin] = rates
+        return rates
+
+    def _improvements(self, margin: float, recovery_cost: float) -> np.ndarray:
+        """Every run's improvement at one design point — the one place
+        the model evaluates per-run improvement."""
+        return np.asarray(performance_improvement(
+            margin, recovery_cost, self._rates(margin), self._parameters
+        ))
+
+    # ------------------------------------------------------------------
     # Aggregate sweeps
     # ------------------------------------------------------------------
     def mean_improvement(self, margin: float, recovery_cost: float) -> float:
         """Average improvement across all runs at one design point."""
-        return float(np.mean([
-            performance_improvement(
-                margin, recovery_cost, tail.rate(margin), self._parameters
-            )
-            for tail in self._tails
-        ]))
+        return float(np.mean(self._improvements(margin, recovery_cost)))
 
     def mean_emergency_rate(self, margin: float) -> float:
         """Average per-cycle emergency rate across all runs at a margin.
@@ -150,7 +172,7 @@ class ResilientDesignModel:
         mechanism would actually service — the telemetry layer exports
         it (scaled to events per 1K cycles) per evaluated mechanism.
         """
-        return float(np.mean([tail.rate(margin) for tail in self._tails]))
+        return float(np.mean(self._rates(margin)))
 
     def margin_grid(self, n_points: int = 60) -> np.ndarray:
         """The margin axis used by sweeps (min_margin … worst case)."""
@@ -206,10 +228,18 @@ class ResilientDesignModel:
     def run_improvement(
         self, run_index: int, margin: float, recovery_cost: float
     ) -> float:
-        tail = self._tails[run_index]
-        return performance_improvement(
-            margin, recovery_cost, tail.rate(margin), self._parameters
-        )
+        return float(self._improvements(margin, recovery_cost)[run_index])
+
+    def _per_run_optima(
+        self, recovery_cost: float, margins: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each run's optimal margin on ``margins`` and its improvement."""
+        grid = np.column_stack([
+            self._improvements(float(m), recovery_cost) for m in margins
+        ])
+        best = np.argmax(grid, axis=1)
+        optima = np.asarray(margins, dtype=float)[best]
+        return optima, grid[np.arange(grid.shape[0]), best]
 
     def per_run_optimal_margins(
         self,
@@ -226,16 +256,7 @@ class ResilientDesignModel:
         """
         if margins is None:
             margins = self.margin_grid()
-        optima = np.empty(len(self._tails))
-        for i, tail in enumerate(self._tails):
-            improvements = np.array([
-                performance_improvement(
-                    float(m), recovery_cost, tail.rate(float(m)),
-                    self._parameters,
-                )
-                for m in margins
-            ])
-            optima[i] = float(margins[int(np.argmax(improvements))])
+        optima, _ = self._per_run_optima(recovery_cost, margins)
         return optima
 
     def one_design_fits_all_gap(self, recovery_cost: float) -> float:
@@ -244,15 +265,8 @@ class ResilientDesignModel:
         negligible; returns the absolute improvement difference."""
         margins = self.margin_grid()
         static = self.optimal_margin(recovery_cost, margins)
-        per_run = self.per_run_optimal_margins(recovery_cost, margins)
-        individual = float(np.mean([
-            performance_improvement(
-                float(m), recovery_cost, tail.rate(float(m)),
-                self._parameters,
-            )
-            for m, tail in zip(per_run, self._tails)
-        ]))
-        return individual - static.improvement
+        _, individual = self._per_run_optima(recovery_cost, margins)
+        return float(np.mean(individual)) - static.improvement
 
     def passing_runs(
         self,
@@ -262,9 +276,6 @@ class ResilientDesignModel:
         tolerance: float = 0.0,
     ) -> List[int]:
         """Indices of runs meeting the expected improvement at a margin."""
-        passing = []
-        for i in range(len(self._tails)):
-            improvement = self.run_improvement(i, margin, recovery_cost)
-            if improvement >= expected_improvement - tolerance:
-                passing.append(i)
-        return passing
+        improvements = self._improvements(margin, recovery_cost)
+        passing = improvements >= expected_improvement - tolerance
+        return [int(i) for i in np.flatnonzero(passing)]

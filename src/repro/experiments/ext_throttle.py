@@ -14,6 +14,10 @@ Proc3 node:
   PDN and engages only while the sensed voltage sits inside an arming
   band above the operating margin.
 
+The unthrottled and open-loop voltages need no feedback, so they come
+from the same Core -> PDN solve every campaign run takes; only the
+closed loop steps cycle by cycle.
+
 Finding: open-loop ramping is ruinously expensive — the workloads' burst
 cadence sits at the package resonance, so smoothing *every* edge costs
 tens of percent of throughput.  The closed-loop throttle removes more
@@ -52,14 +56,17 @@ def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
     n_cycles = 20_000 if quick else 30_000
     repeats = 2 if quick else 3
     chip = Chip(config, with_ripple=True, slack_coupling=0.0)
-    core = Core()
+    core = Core(chip.core_parameters)
     idle = IdleLoop()
     nominal = chip.nominal_voltage
     open_loop = EmergencyPredictor(OPEN_LOOP)
     closed_loop = VoltageGuidedThrottle(chip)
-    passthrough = VoltageGuidedThrottle(
-        chip, arm_margin=0.5, slew_per_cycle=1.0, hold_cycles=1
-    )
+
+    def unthrottled(activity, other, ripple) -> np.ndarray:
+        """Die voltage without feedback: the campaign's Core -> PDN path."""
+        current = core.current_from_activity(activity) + other
+        voltage = chip.simulator.simulate(current, include_ripple=False)
+        return voltage.samples + ripple
 
     def events(voltage: np.ndarray) -> float:
         trace = VoltageTrace(voltage, CLOCK_PERIOD_S, nominal)
@@ -82,12 +89,12 @@ def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
             ripple = DEFAULT_PARAMETERS.vrm.ripple(
                 n_cycles, CLOCK_PERIOD_S, nominal, seed=rep
             )
-            raw = passthrough.run(raw_activity, other, ripple=ripple)
-            per_mode["raw"].append(events(raw.voltage))
+            raw = unthrottled(raw_activity, other, ripple)
+            per_mode["raw"].append(events(raw))
 
             ramped = open_loop.throttle(raw_activity)
-            open_run = passthrough.run(ramped.activity, other, ripple=ripple)
-            per_mode["open"].append(events(open_run.voltage))
+            open_run = unthrottled(ramped.activity, other, ripple)
+            per_mode["open"].append(events(open_run))
             per_loss["open"].append(
                 1.0
                 - np.minimum(ramped.activity, 1.0).sum()

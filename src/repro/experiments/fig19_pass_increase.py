@@ -14,11 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.policies import DroopPolicy, IPCPolicy
-from repro.core.resilience import (
-    RECOVERY_COSTS,
-    ResilientDesignModel,
-    performance_improvement,
-)
+from repro.core.resilience import RECOVERY_COSTS, ResilientDesignModel
 from repro.core.scheduler import BatchScheduler, GroupOracle
 from repro.experiments.common import ExperimentResult
 from repro.experiments.context import (
@@ -39,9 +35,22 @@ def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
     oracle = GroupOracle(campaign)
     scheduler = BatchScheduler(oracle, programs=names)
     policies = {"Droop": DroopPolicy(), "IPC": IPCPolicy()}
-    partner_maps = {
-        name: scheduler.partner_map(policy, seed=17)
-        for name, policy in policies.items()
+    partner_maps = {"SPECrate": {name: name for name in names}}
+    for policy_name, policy in policies.items():
+        partner_maps[policy_name] = scheduler.partner_map(policy, seed=17)
+
+    def pass_model(partners: Dict[str, str]) -> ResilientDesignModel:
+        """The pass/fail model over one schedule's runs."""
+        runs = campaign.measure_specs([
+            campaign.run_spec(a, partners[a], kind="multiprogram")
+            for a in names
+        ])
+        return ResilientDesignModel(
+            [r.tail_model() for r in runs], model.parameters
+        )
+
+    schedules = {
+        key: pass_model(partners) for key, partners in partner_maps.items()
     }
 
     result = ExperimentResult(
@@ -52,32 +61,15 @@ def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
                  "IPC increase (%)", "Droop increase (%)"),
     )
 
-    def passes(run_measurement, cost, optimum) -> bool:
-        improvement = performance_improvement(
-            optimum.margin,
-            cost,
-            run_measurement.tail_model().rate(optimum.margin),
-            model.parameters,
-        )
-        return improvement >= PASS_FRACTION * optimum.improvement
-
     series: Dict[str, list] = {"SPECrate": [], "IPC": [], "Droop": []}
     for cost in RECOVERY_COSTS:
         optimum = model.optimal_margin(cost)
-        base_pass = sum(
-            passes(campaign.measure(a, a, kind="multiprogram"), cost, optimum)
-            for a in names
-        )
-        counts = {"SPECrate": base_pass}
-        for policy_name, partners in partner_maps.items():
-            counts[policy_name] = sum(
-                passes(
-                    campaign.measure(a, partners[a], kind="multiprogram"),
-                    cost,
-                    optimum,
-                )
-                for a in names
-            )
+        target = PASS_FRACTION * optimum.improvement
+        counts = {
+            key: len(schedule.passing_runs(cost, optimum.margin, target))
+            for key, schedule in schedules.items()
+        }
+        base_pass = counts["SPECrate"]
         for key in series:
             series[key].append(counts[key])
 

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.resilience import (
-    RECOVERY_COSTS,
-    ResilientDesignModel,
-    performance_improvement,
-)
+from repro.core.resilience import RECOVERY_COSTS, ResilientDesignModel
 from repro.experiments.common import ExperimentResult
 from repro.experiments.context import (
     get_campaign,
@@ -39,6 +35,9 @@ def specrate_pass_analysis(
     model = ResilientDesignModel([r.tail_model() for r in all_runs])
 
     specrate_runs = campaign.specrate_runs(names)
+    specrate = ResilientDesignModel(
+        [r.tail_model() for r in specrate_runs], model.parameters
+    )
 
     result = ExperimentResult(
         experiment_id="Tab. I",
@@ -52,16 +51,12 @@ def specrate_pass_analysis(
     for cost in RECOVERY_COSTS:
         optimum = model.optimal_margin(cost)
         optima[cost] = optimum
-        passing = []
-        for run in specrate_runs:
-            improvement = performance_improvement(
-                optimum.margin,
-                cost,
-                run.tail_model().rate(optimum.margin),
-                model.parameters,
+        passing = [
+            specrate_runs[i].spec.workloads[0]
+            for i in specrate.passing_runs(
+                cost, optimum.margin, PASS_FRACTION * optimum.improvement
             )
-            if improvement >= PASS_FRACTION * optimum.improvement:
-                passing.append(run.spec.workloads[0])
+        ]
         passing_by_cost[cost] = passing
         result.add_row(
             cost,

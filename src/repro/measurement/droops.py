@@ -42,7 +42,7 @@ class DroopStatistics:
 
     ``depths`` holds each excursion's maximum deviation magnitude (a
     positive fraction of nominal voltage), ``durations`` the number of
-    cycles each excursion spent beyond the detection threshold.
+    cycles each excursion spent beyond the hysteresis exit level.
     """
 
     depths: np.ndarray
@@ -76,52 +76,12 @@ def _detect_excursions(
     n_cycles: int,
     threshold: float,
 ) -> DroopStatistics:
-    """Hysteresis excursion detector over a positive-magnitude series."""
-    enter = threshold
-    exit_level = threshold * HYSTERESIS_RATIO
-    above_enter = magnitude > enter
-    above_exit = magnitude > exit_level
+    """Hysteresis excursion detector over a positive-magnitude series.
 
-    depths = []
-    durations = []
-    inside = False
-    start = 0
-    peak = 0.0
-    for i in range(magnitude.size):
-        if not inside:
-            if above_enter[i]:
-                inside = True
-                start = i
-                peak = magnitude[i]
-        else:
-            if above_exit[i]:
-                if magnitude[i] > peak:
-                    peak = magnitude[i]
-            else:
-                inside = False
-                depths.append(peak)
-                durations.append(i - start)
-    if inside:
-        depths.append(peak)
-        durations.append(magnitude.size - start)
-    return DroopStatistics(
-        depths=np.asarray(depths, dtype=float),
-        durations=np.asarray(durations, dtype=int),
-        n_cycles=n_cycles,
-        threshold=threshold,
-    )
-
-
-def _detect_excursions_fast(
-    magnitude: np.ndarray,
-    n_cycles: int,
-    threshold: float,
-) -> DroopStatistics:
-    """Vectorized variant of :func:`_detect_excursions`.
-
-    Uses the exit level to segment the trace, then takes each segment's
-    peak; equivalent to the scalar detector for every trace whose
-    excursions are separated by recovery above the exit level.
+    The exit level segments the trace into spans above it; a span whose
+    peak exceeds ``threshold`` is one excursion, with that peak as its
+    depth.  Its duration counts every cycle of the span, from the
+    exit-level crossing on, not only those past ``threshold``.
     """
     exit_level = threshold * HYSTERESIS_RATIO
     above_exit = magnitude > exit_level
@@ -165,7 +125,7 @@ def detect_droops(
     if threshold <= 0:
         raise MeasurementError("threshold must be positive")
     magnitude = np.maximum(0.0, -trace.deviations_fraction())
-    return _detect_excursions_fast(magnitude, len(trace), threshold)
+    return _detect_excursions(magnitude, len(trace), threshold)
 
 
 def detect_overshoots(
@@ -176,7 +136,7 @@ def detect_overshoots(
     if threshold <= 0:
         raise MeasurementError("threshold must be positive")
     magnitude = np.maximum(0.0, trace.deviations_fraction())
-    return _detect_excursions_fast(magnitude, len(trace), threshold)
+    return _detect_excursions(magnitude, len(trace), threshold)
 
 
 def droop_samples_per_1k(

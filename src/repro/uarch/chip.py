@@ -154,6 +154,11 @@ class Chip:
         return len(self._cores)
 
     @property
+    def core_parameters(self) -> CoreParameters:
+        """The electrical calibration shared by every core."""
+        return self._cores[0].parameters
+
+    @property
     def config_name(self) -> str:
         return self._config_name
 

@@ -87,8 +87,10 @@ class TestVoltageGuidedThrottle:
         return Chip("Proc3", with_ripple=False, slack_coupling=0.0)
 
     def test_passthrough_matches_chip_voltage_shape(self, chip):
-        """With an unreachable arm margin the co-simulation must agree
-        with the vectorized simulator."""
+        """With an unreachable arm margin the co-simulation must equal
+        the vectorized Core -> PDN path bit for bit: the throttle's inline
+        EMA and DF2T filter step are the campaign's ``lfilter`` and
+        ``sosfilt``."""
         from repro.uarch.core import Core
 
         core = Core()
@@ -100,8 +102,28 @@ class TestVoltageGuidedThrottle:
         outcome = throttle.run(activity, other)
         current = core.current_from_activity(activity) + other
         reference = chip.simulator.simulate(current, include_ripple=False)
-        scale = np.abs(reference.samples - chip.nominal_voltage).max()
-        assert np.abs(outcome.voltage - reference.samples).max() < 0.02 * scale
+        assert np.array_equal(outcome.voltage, reference.samples)
+
+    def test_uses_the_chips_core_calibration(self):
+        from repro.uarch.core import Core, CoreParameters
+
+        parameters = CoreParameters(
+            leakage_amps=4.0, dynamic_max_amps=12.0,
+            fast_fraction=0.5, gating_tau_cycles=120.0,
+        )
+        chip = Chip(
+            "Proc3", core_parameters=parameters,
+            with_ripple=False, slack_coupling=0.0,
+        )
+        assert chip.core_parameters == parameters
+        activity = burst_activity(3000)
+        other = np.full(3000, 5.0)
+        outcome = VoltageGuidedThrottle(
+            chip, arm_margin=0.5, slew_per_cycle=1.0, hold_cycles=1
+        ).run(activity, other)
+        current = Core(parameters).current_from_activity(activity) + other
+        reference = chip.simulator.simulate(current, include_ripple=False)
+        assert np.array_equal(outcome.voltage, reference.samples)
 
     def test_throttle_reduces_worst_droop(self, chip):
         activity = burst_activity(6000, low=0.1, high=1.0,

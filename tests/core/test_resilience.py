@@ -64,6 +64,17 @@ class TestPerformanceImprovement:
             performance_improvement(0.04, -1, 0.0)
         with pytest.raises(ConfigurationError):
             performance_improvement(0.04, 10, -1.0)
+        with pytest.raises(ConfigurationError):
+            performance_improvement(0.04, 10, np.array([1e-4, -1.0]))
+
+    def test_rate_vector_matches_scalar_calls(self):
+        rates = np.array([0.0, 1e-7, 1e-5, 3e-4, 2e-3])
+        vector = performance_improvement(0.05, 1000, rates)
+        assert isinstance(vector, np.ndarray)
+        assert vector.tolist() == [
+            performance_improvement(0.05, 1000, float(r)) for r in rates
+        ]
+        assert isinstance(performance_improvement(0.05, 1000, 1e-4), float)
 
 
 class TestResilientDesignModel:
@@ -134,3 +145,56 @@ class TestResilientDesignModel:
         )
         # The light-tailed run passes the mean bar; the heavy one fails.
         assert passing == [0]
+
+
+class TestPerRunVectorReference:
+    """Every model method equals the scalar per-run loop it replaced,
+    bit for bit (same margin, same rate, same arithmetic)."""
+
+    @pytest.fixture(scope="class")
+    def tails(self):
+        return [tail(beta=0.003 + 0.004 * i, seed=i) for i in range(5)]
+
+    @staticmethod
+    def reference(tail_model, margin, cost):
+        return performance_improvement(margin, cost, tail_model.rate(margin))
+
+    def test_means_and_run_improvements(self, tails):
+        model = ResilientDesignModel(tails)
+        for margin in model.margin_grid(12):
+            margin = float(margin)
+            assert model.mean_emergency_rate(margin) == float(
+                np.mean([t.rate(margin) for t in tails])
+            )
+            for cost in RECOVERY_COSTS:
+                expected = [self.reference(t, margin, cost) for t in tails]
+                assert model.mean_improvement(margin, cost) == float(
+                    np.mean(expected)
+                )
+                assert [
+                    model.run_improvement(i, margin, cost)
+                    for i in range(len(tails))
+                ] == expected
+
+    def test_per_run_optima_gap_and_passing(self, tails):
+        model = ResilientDesignModel(tails)
+        margins = model.margin_grid()
+        for cost in (10, 1000, 100_000):
+            optima = [
+                float(margins[int(np.argmax([
+                    self.reference(t, float(m), cost) for m in margins
+                ]))])
+                for t in tails
+            ]
+            assert model.per_run_optimal_margins(cost).tolist() == optima
+            individual = float(np.mean([
+                self.reference(t, m, cost) for m, t in zip(optima, tails)
+            ]))
+            assert model.one_design_fits_all_gap(cost) == (
+                individual - model.optimal_margin(cost).improvement
+            )
+            expected = model.mean_improvement(0.06, cost)
+            assert model.passing_runs(cost, 0.06, expected, 0.001) == [
+                i for i, t in enumerate(tails)
+                if self.reference(t, 0.06, cost) >= expected - 0.001
+            ]

@@ -1,5 +1,7 @@
 """Unit tests for the experiment CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import DESCRIPTIONS, EXPERIMENTS, main
@@ -76,7 +78,15 @@ class TestExecutionFlags:
         assert main(args) == 0
         warm = capsys.readouterr().out
         assert "0 hits" in cold
-        assert " 0 runs simulated" in warm
+        # Only entries the cache could not read back are simulated again:
+        # none in a clean run, the corrupt loads under fault injection.
+        (stats,) = [
+            line for line in warm.splitlines() if line.startswith("[executor]")
+        ]
+        simulated = re.search(r" (\d+) runs simulated", stats)
+        corrupt = re.search(r"\((\d+) corrupt\)", stats)
+        assert simulated and corrupt, stats
+        assert int(simulated.group(1)) == int(corrupt.group(1)), stats
 
     def test_fault_flags_configure_context(self, capsys):
         from repro.experiments import context
